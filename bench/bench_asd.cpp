@@ -1,17 +1,18 @@
 // E2  — ASD registration/lookup and lease behaviour (paper §2.4, Fig 7).
-// E15 — directory scalability: indexed snapshot reads vs linear scan under
-//       churn, client-side lookup caching, and batched lease renewal.
+// E15 — directory scalability: indexed snapshot reads under churn,
+//       client-side lookup caching, and batched lease renewal.
 // E21 — federated campus: per-room directories under gossip membership,
 //       cross-room query forwarding (scoped cache on/off) vs one flat
 //       directory, convergence after a chaos-injected inter-room partition,
-//       a relay-served room during a direct-link partition, and batched vs
-//       per-event notification fan-out.
+//       a relay-served room during a direct-link partition, and batched
+//       notification fan-out.
 //
 // E2 reproduces the Fig 7 interaction quantitatively. E15 measures the
 // AsdIndex rework: query throughput and tail latency at 1k/10k/50k
-// registrations with a concurrent writer churning the directory, the
-// indexed vs. linear-scan ablation (AsdOptions.use_index), cached vs.
-// uncached AsdClient lookups, and per-lease vs. batched renewal traffic.
+// registrations with a concurrent writer churning the directory, cached
+// vs. uncached AsdClient lookups, and batched renewal traffic. The retired
+// linear-scan and per-lease baselines keep their recorded numbers in
+// EXPERIMENTS.md.
 //
 // `--smoke` runs a seconds-scale subset (used by ci.sh bench-smoke) and
 // still exports bench_asd.metrics.json.
@@ -142,7 +143,7 @@ struct QueryBenchResult {
 // class-constrained queries from `readers` threads while one writer churns
 // re-registrations and renewals. Class cardinality scales with n so bucket
 // sizes stay realistic (many small classes, not 8 giant ones).
-QueryBenchResult run_query_config(int n, bool use_index, int readers,
+QueryBenchResult run_query_config(int n, int readers,
                                   std::chrono::milliseconds duration,
                                   obs::MetricsSnapshot* snapshot_out = nullptr) {
   daemon::Environment env(7);
@@ -153,9 +154,7 @@ QueryBenchResult run_query_config(int n, bool use_index, int readers,
   c.register_with_asd = false;
   c.register_with_room_db = false;
   c.log_to_net_logger = false;
-  services::AsdOptions opts;
-  opts.use_index = use_index;
-  auto& asd = host.add_daemon<services::AsdDaemon>(c, opts);
+  auto& asd = host.add_daemon<services::AsdDaemon>(c);
   const daemon::CallerInfo caller{"bench", {}};
 
   const int classes = std::max(8, n / 64);
@@ -231,25 +230,18 @@ QueryBenchResult run_query_config(int n, bool use_index, int readers,
 }
 
 void query_scaling(bool smoke) {
-  bench::header("E15a",
-                "query throughput under churn: indexed vs linear scan");
-  std::printf("%10s %8s %14s %12s %12s %10s\n", "services", "index",
-              "queries/s", "p50_us", "p99_us", "speedup");
+  bench::header("E15a", "indexed query throughput under churn");
+  std::printf("%10s %14s %12s %12s\n", "services", "queries/s", "p50_us",
+              "p99_us");
   const std::vector<int> sizes =
       smoke ? std::vector<int>{500} : std::vector<int>{1000, 10000, 50000};
   const auto duration = smoke ? 150ms : 400ms;
   const int readers = 4;
   for (int n : sizes) {
-    auto indexed = run_query_config(n, true, readers, duration);
-    auto linear = run_query_config(n, false, readers, duration);
-    std::printf("%10d %8s %14.0f %12.1f %12.1f %10s\n", n, "on", indexed.qps,
-                indexed.p50_us, indexed.p99_us, "");
-    std::printf("%10d %8s %14.0f %12.1f %12.1f %9.1fx\n", n, "off",
-                linear.qps, linear.p50_us, linear.p99_us,
-                indexed.qps / std::max(1.0, linear.qps));
+    auto indexed = run_query_config(n, readers, duration);
+    std::printf("%10d %14.0f %12.1f %12.1f\n", n, indexed.qps, indexed.p50_us,
+                indexed.p99_us);
   }
-  std::printf(
-      "  (speedup = indexed qps / linear qps at equal size and churn)\n");
   // The bench_asd.metrics.json artifact is exported by E21 (last in the
   // binary); its campus registry also carries the index-hit proof.
 }
@@ -301,42 +293,29 @@ void client_cache(bool smoke) {
 // ------------------------------------------------------------------- E15c
 
 void renewal_batching(bool smoke) {
-  bench::header("E15c",
-                "renewal traffic: per-lease RPCs vs one renewBatch per host");
+  bench::header("E15c", "renewal traffic: one renewBatch per host");
   const auto window = smoke ? 600ms : 2s;
   const int workers = 10;
-  std::printf("%12s %16s %18s\n", "scheme", "renew_rpcs/s",
-              "renewals/interval");
-  double rates[2] = {0, 0};
-  for (int scheme = 0; scheme < 2; ++scheme) {
-    const bool batched = scheme == 1;
-    testenv::AceTestEnv deployment(46);
-    if (!deployment.start().ok()) return;
-    daemon::DaemonHost host(deployment.env, "workstation");
-    for (int i = 0; i < workers; ++i) {
-      daemon::DaemonConfig c;
-      c.name = "w" + std::to_string(i);
-      c.room = "hawk";
-      c.lease = 1000ms;
-      c.lease_renew = 100ms;
-      c.batch_renew = batched;
-      host.add_daemon<services::HrmDaemon>(c);
-    }
-    if (!host.start_all().ok()) return;
-    auto& rpcs = deployment.env.metrics().counter("asd.renew_rpcs");
-    const auto before = rpcs.value();
-    std::this_thread::sleep_for(window);
-    const double per_s =
-        static_cast<double>(rpcs.value() - before) /
-        std::chrono::duration<double>(window).count();
-    rates[scheme] = per_s;
-    std::printf("%12s %16.1f %18.1f\n", batched ? "batched" : "per-lease",
-                per_s, per_s * 0.1);
-    host.stop_all();
+  testenv::AceTestEnv deployment(46);
+  if (!deployment.start().ok()) return;
+  daemon::DaemonHost host(deployment.env, "workstation");
+  for (int i = 0; i < workers; ++i) {
+    daemon::DaemonConfig c;
+    c.name = "w" + std::to_string(i);
+    c.room = "hawk";
+    c.lease = 1000ms;
+    c.lease_renew = 100ms;
+    host.add_daemon<services::HrmDaemon>(c);
   }
-  if (rates[1] > 0)
-    std::printf("  reduction: %.1fx fewer renewal RPCs for a %d-service host\n",
-                rates[0] / rates[1], workers);
+  if (!host.start_all().ok()) return;
+  auto& rpcs = deployment.env.metrics().counter("asd.renew_rpcs");
+  const auto before = rpcs.value();
+  std::this_thread::sleep_for(window);
+  const double per_s = static_cast<double>(rpcs.value() - before) /
+                       std::chrono::duration<double>(window).count();
+  std::printf("  %d-service host: %.1f renew rpcs/s, %.1f per 100ms interval\n",
+              workers, per_s, per_s * 0.1);
+  host.stop_all();
 }
 
 // -------------------------------------------------------------------- E21
@@ -675,51 +654,38 @@ void federated_campus(bool smoke) {
               static_cast<unsigned long long>(frames.value() - frames_before),
               relay.room_count());
 
-  // ---- notification fan-out: coalesced batches vs per-event sends -------
+  // ---- notification fan-out: a burst coalesced into wire batches --------
   daemon::DaemonHost floor(campus.env, "bench-floor");
-  auto sub_config = [](const char* name, bool batch) {
+  auto sub_config = [](const char* name) {
     daemon::DaemonConfig c;
     c.name = name;
     c.room = "r0";
     c.register_with_asd = false;
     c.register_with_room_db = false;
     c.log_to_net_logger = false;
-    c.batch_notify = batch;
     return c;
   };
-  auto& emitter = floor.add_daemon<NotifySink>(sub_config("emitter", true));
-  auto& ablated =
-      floor.add_daemon<NotifySink>(sub_config("emitter-ablate", false));
-  auto& sink = floor.add_daemon<NotifySink>(sub_config("sink", true));
+  auto& emitter = floor.add_daemon<NotifySink>(sub_config("emitter"));
+  auto& sink = floor.add_daemon<NotifySink>(sub_config("sink"));
   if (!floor.start_all().ok()) return;
-  for (daemon::ServiceDaemon* from :
-       {static_cast<daemon::ServiceDaemon*>(&emitter),
-        static_cast<daemon::ServiceDaemon*>(&ablated)}) {
-    CmdLine sub("addNotification");
-    sub.arg("command", Word{"poke"});
-    sub.arg("service", sink.address().to_string());
-    sub.arg("method", Word{"noted"});
-    (void)from->execute(sub, caller);
-  }
+  CmdLine sub("addNotification");
+  sub.arg("command", Word{"poke"});
+  sub.arg("service", sink.address().to_string());
+  sub.arg("method", Word{"noted"});
+  (void)emitter.execute(sub, caller);
   auto& batches = campus.env.metrics().counter("daemon.notify_batches");
   const int kEvents = smoke ? 300 : 3000;
   CmdLine poke("poke");
-  std::printf("  notification fan-out, %d-event burst:\n", kEvents);
-  int delivered_floor = 0;
-  for (int scheme = 0; scheme < 2; ++scheme) {
-    const bool batched = scheme == 0;
-    auto& source = batched ? emitter : ablated;
-    const auto batches_before = batches.value();
-    const auto start = bench::Clock::now();
-    for (int i = 0; i < kEvents; ++i) (void)source.execute(poke, caller);
-    delivered_floor += kEvents;
-    poll_ms(15000ms, [&] { return sink.received() >= delivered_floor; });
-    const double total_ms = bench::us_since(start) / 1000.0;
-    std::printf("  %-12s %8.1f ms to full delivery, %6llu wire batches\n",
-                batched ? "batched" : "per-event", total_ms,
-                static_cast<unsigned long long>(batches.value() -
-                                                batches_before));
-  }
+  const auto batches_before = batches.value();
+  const auto start = bench::Clock::now();
+  for (int i = 0; i < kEvents; ++i) (void)emitter.execute(poke, caller);
+  poll_ms(15000ms, [&] { return sink.received() >= kEvents; });
+  const double total_ms = bench::us_since(start) / 1000.0;
+  std::printf("  notification fan-out, %d-event burst: %.1f ms to full "
+              "delivery, %llu wire batches\n",
+              kEvents, total_ms,
+              static_cast<unsigned long long>(batches.value() -
+                                              batches_before));
 
   // The bench-smoke artifact: one registry covering every room's directory,
   // gossip, forwarding, relay and notify counters. Must stay the last

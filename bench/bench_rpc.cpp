@@ -1,20 +1,22 @@
-// E13 — pipelined multiplexed command channel (wire protocol v2).
+// E13 — pipelined multiplexed command channel.
 //
 // Measures what multiplexing buys on a latency-bound link: 8 concurrent
 // callers sharing one AceClient against one daemon over a 5ms-latency hop,
-// with pipelining on (v2, default) vs off (the client offers protocol v1,
-// so every call serializes its full round trip). Also checks the cost side:
-// single-caller latency must not regress for the demux machinery.
+// with pipelining on (every caller's request in flight at once) vs an
+// in-flight window of 1 (one mutex held around each call, so every call
+// serializes its full round trip, as a one-call-per-channel wire would).
+// Both modes run the same channel code, so the single-caller latency
+// columns should agree.
 //
 // Both modes run from this one binary; the results land in the deployment
 // metrics registry as `bench.rpc.*` gauges and are exported to
 // bench_rpc.metrics.json for the perf dashboard.
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "daemon/wire.hpp"
 
 using namespace ace;
 using namespace std::chrono_literals;
@@ -46,7 +48,7 @@ class EchoDaemon : public daemon::ServiceDaemon {
 
 struct Mode {
   const char* name;
-  std::uint8_t protocol_offer;  // 0 = environment default (v2)
+  bool window_of_one;  // one mutex around each call: one call in flight
 };
 
 // One warmed-up client per mode so the handshake and channel cache are
@@ -55,11 +57,6 @@ std::unique_ptr<daemon::AceClient> make_mode_client(
     testenv::AceTestEnv& deployment, const net::Address& svc,
     const Mode& mode) {
   auto client = deployment.make_client("bench", "user/bench");
-  if (mode.protocol_offer != 0) {
-    auto policy = client->policy();
-    policy.protocol_offer = mode.protocol_offer;
-    client->set_policy(policy);
-  }
   CmdLine warm("echo");
   warm.arg("text", "warmup");
   if (!client->call(svc, warm, daemon::kCallOk).ok())
@@ -68,8 +65,9 @@ std::unique_ptr<daemon::AceClient> make_mode_client(
 }
 
 double concurrent_throughput(daemon::AceClient& client,
-                             const net::Address& svc) {
+                             const net::Address& svc, bool window_of_one) {
   std::atomic<int> failures{0};
+  std::mutex window;
   const auto start = bench::Clock::now();
   {
     std::vector<std::jthread> callers;
@@ -77,8 +75,11 @@ double concurrent_throughput(daemon::AceClient& client,
       callers.emplace_back([&, t] {
         CmdLine cmd("echo");
         cmd.arg("text", "caller " + std::to_string(t));
-        for (int i = 0; i < kCallsPerCaller; ++i)
+        for (int i = 0; i < kCallsPerCaller; ++i) {
+          std::unique_lock lock(window, std::defer_lock);
+          if (window_of_one) lock.lock();
           if (!client.call(svc, cmd, daemon::kCallOk).ok()) failures++;
+        }
       });
     }
   }
@@ -125,8 +126,8 @@ int main() {
                                     net::LinkPolicy{.latency = kLinkLatency});
 
   const Mode modes[] = {
-      {"pipelined", 0},
-      {"serialized", daemon::wire::kProtocolV1},
+      {"pipelined", false},
+      {"serialized", true},
   };
 
   bench::header("E13a", "8 concurrent callers, one destination, 10ms RTT");
@@ -137,7 +138,7 @@ int main() {
   auto& metrics = deployment.env.metrics();
   for (int m = 0; m < 2; ++m) {
     auto client = make_mode_client(deployment, svc, modes[m]);
-    throughput[m] = concurrent_throughput(*client, svc);
+    throughput[m] = concurrent_throughput(*client, svc, modes[m].window_of_one);
     bench::Series solo = single_caller_latency(*client, svc);
     solo_p50[m] = solo.percentile(50);
     std::printf("%12s %16.1f %18.1f %18.1f\n", modes[m].name, throughput[m],

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification in three configurations:
-#   1. Release         — the build users get (catches optimizer-visible bugs)
+#   1. Release         — the build users get (catches optimizer-visible bugs),
+#      plus bench-smoke, doc-lint and the perfbench selftest + smoke run
 #   2. ThreadSanitizer — shakes out data races in the reactor actor
 #      structure (frame pumps, async handshakes, channel actors, client
 #      demux, timer chains; see docs/net.md),
@@ -165,6 +166,20 @@ media_race_sweep() {
     --gtest_filter='ServicesTest.Converter*:ServicesTest.Distribution*'
 }
 
+# Builds and runs the end-to-end benchmark (perfbench/, declared by
+# BENCHMARK.json) in its own build tree inside the CI build dir: the
+# statistics self-test, then a short run of every workload that checks
+# each declared metric is emitted and every reply was correct. A src/ API
+# change that breaks the benchmark's build or its reply checks fails here.
+perfbench_smoke() {
+  local build_dir="$1"
+  echo "=== perfbench: --selftest + --smoke ==="
+  CARGO_TARGET_DIR="$(pwd)/${build_dir}/perfbench" \
+    python3 perfbench/run.py --selftest
+  CARGO_TARGET_DIR="$(pwd)/${build_dir}/perfbench" \
+    python3 perfbench/run.py --smoke
+}
+
 # Replays the chaos suites (schedule properties + live fault injection)
 # under a handful of fixed seeds. Fixed rather than random so a CI failure
 # is reproducible by running the same seed locally.
@@ -187,7 +202,8 @@ read_path_race_sweep() {
   "${build_dir}/tests/test_store" --gtest_repeat=3 --gtest_filter=\
 'QuorumStoreTest.DigestReadRepairConvergesStaleReplica:'\
 'QuorumStoreTest.ReadQuorumUnavailableIsSurfaced:'\
-'StoreDigestAblationTest.*:ShardedStoreTest.Scan*'
+'QuorumStoreTest.DigestReadsMatchAckedValuesAcrossStaleWindow:'\
+'ShardedStoreTest.Scan*'
   ACE_CHAOS_SEED=42 "${build_dir}/tests/test_store" \
     --gtest_filter='QuorumStoreTest.ChaosQuorumTortureNeverLosesAckedWrites'
 }
@@ -214,6 +230,7 @@ case "${want}" in
     run_config "release" build-ci -DCMAKE_BUILD_TYPE=Release
     doc_lint build-ci
     bench_smoke build-ci
+    perfbench_smoke build-ci
     ;;&
   tsan|all)
     run_config "tsan" build-tsan -DACE_SANITIZE=thread

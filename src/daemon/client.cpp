@@ -1,6 +1,7 @@
 #include "daemon/client.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "daemon/wire.hpp"
 
@@ -65,7 +66,6 @@ void AceClient::set_policy(ClientPolicy policy) {
   std::scoped_lock lock(policy_mu_);
   const bool was_armed = policy_.idle_channel_ttl.count() > 0;
   policy_ = policy;
-  protocol_offer_.store(policy.protocol_offer, std::memory_order_relaxed);
   const bool arm = policy.idle_channel_ttl.count() > 0;
   if (arm && sweep_timer_ == 0) {
     sweep_timer_ = env_.reactor().post_after(
@@ -149,26 +149,18 @@ util::Status AceClient::ensure_channel_locked(
                                                 " died mid-call"});
   auto conn = host_.connect(to, env_.default_timeout);
   if (!conn.ok()) return conn.error();
-  auto options = env_.channel_options();
-  if (auto offer = protocol_offer_.load(std::memory_order_relaxed); offer != 0)
-    options.protocol = offer;
   auto ch = crypto::SecureChannel::connect(std::move(conn.value()), identity_,
                                            env_.ca_key(), env_.default_timeout,
-                                           options);
+                                           env_.channel_options());
   if (!ch.ok()) return ch.error();
-  entry->channel =
+  auto channel =
       std::make_shared<crypto::SecureChannel>(std::move(ch.value()));
-  // v2 replies are demultiplexed by a reactor pump on the new channel; a
-  // v1 channel's unframed replies are consumed synchronously by
-  // exchange_v1, so it must NOT have a pump competing for them.
-  if (entry->channel->negotiated_version() >= wire::kProtocolV2) {
-    auto channel = entry->channel;
-    entry->demux = channel->on_frame(
-        env_.reactor(),
-        [this, entry, channel](std::optional<net::Frame> frame) {
-          handle_reply(entry, channel, std::move(frame));
-        });
-  }
+  entry->channel = channel;
+  // Replies are demultiplexed by a reactor pump on the new channel.
+  entry->demux = channel->on_frame(
+      env_.reactor(), [this, entry, channel](std::optional<net::Frame> frame) {
+        handle_reply(entry, channel, std::move(frame));
+      });
   return util::Status::ok_status();
 }
 
@@ -247,21 +239,16 @@ util::Result<cmdlang::CmdLine> AceClient::call(const net::Address& to,
         connect_error = s.error();
       } else {
         channel = entry->channel;
-        if (channel->negotiated_version() >= wire::kProtocolV2) {
-          call_id = entry->next_call_id++;
-          slot = std::make_shared<PendingCall>();
-          entry->pending.emplace(call_id, slot);
-          inflight_->add(1);
-        }
+        call_id = entry->next_call_id++;
+        slot = std::make_shared<PendingCall>();
+        entry->pending.emplace(call_id, slot);
+        inflight_->add(1);
       }
     }
-    auto reply =
-        connect_error
-            ? util::Result<cmdlang::CmdLine>(*connect_error)
-        : slot ? exchange_v2(*entry, channel, call_id, slot, wire_text,
-                             timeout, cmd.name(), to)
-               : exchange_v1(*entry, channel, wire_text, timeout, cmd.name(),
-                             to);
+    auto reply = connect_error
+                     ? util::Result<cmdlang::CmdLine>(*connect_error)
+                     : exchange(*entry, channel, call_id, slot, wire_text,
+                                timeout, cmd.name(), to);
     if (!reply.ok()) {
       const auto code = reply.error().code;
       const bool retryable = transport_errc(code);
@@ -367,33 +354,10 @@ void AceClient::backoff_sleep(const CallOptions& options, int attempt) {
           static_cast<double>(delay.count()) * jitter));
 }
 
-// v1 peer: the channel carries bare command text with no demux header, so
-// the whole round trip is serialized under call_mu exactly as before v2.
-util::Result<cmdlang::CmdLine> AceClient::exchange_v1(
-    ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
-    const std::string& wire_text, std::chrono::milliseconds timeout,
-    const std::string& verb, const net::Address& to) {
-  std::scoped_lock call_lock(entry.call_mu);
-  if (auto s = ch->send(util::to_bytes(wire_text)); !s.ok()) {
-    ch->close();
-    return util::Error{util::Errc::closed,
-                       "stale channel to " + to.to_string()};
-  }
-  auto reply = ch->recv(timeout);
-  if (!reply) {
-    // No way to tell a late reply from the next call's reply without
-    // call-ids, so the channel cannot be reused after a timeout.
-    ch->close();
-    return util::Error{util::Errc::timeout, "no reply from " + to.to_string() +
-                                                " for '" + verb + "'"};
-  }
-  return cmdlang::Parser::parse(*reply);
-}
-
-// v2 peer: send the framed request without holding any entry-wide lock
-// across the round trip, then park on the completion slot until the demux
-// reader resolves it (or the deadline passes).
-util::Result<cmdlang::CmdLine> AceClient::exchange_v2(
+// Sends the framed request without holding any entry-wide lock across the
+// round trip, then parks on the completion slot until the demux reader
+// resolves it (or the deadline passes).
+util::Result<cmdlang::CmdLine> AceClient::exchange(
     ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
     std::uint64_t call_id, const std::shared_ptr<PendingCall>& slot,
     const std::string& wire_text, std::chrono::milliseconds timeout,
@@ -411,8 +375,8 @@ util::Result<cmdlang::CmdLine> AceClient::exchange_v2(
       return std::move(*slot->result);
   }
   // Deadline passed: withdraw the slot so a late reply is dropped by the
-  // reader. The channel stays open — unlike v1, call-ids make a late reply
-  // harmless, and other calls are still in flight on it.
+  // reader. The channel stays open — call-ids make a late reply harmless,
+  // and other calls are still in flight on it.
   {
     std::scoped_lock lk(entry.mu);
     if (entry.pending.erase(call_id) > 0) inflight_->add(-1);
@@ -439,18 +403,9 @@ util::Status AceClient::send_only(const net::Address& to,
     }
     channel = entry->channel;
   }
-  util::Status s = util::Status::ok_status();
-  if (channel->negotiated_version() >= wire::kProtocolV2) {
-    // The noreply marker is a frame flag under v2: no CmdLine copy, and the
-    // call-id is unused because no reply will ever reference it.
-    s = channel->send(wire::encode_frame(0, wire::kFlagNoReply,
-                                         cmd.to_string()));
-  } else {
-    cmdlang::CmdLine marked = cmd;
-    marked.arg(wire::kNoReplyArg, 1);
-    std::scoped_lock call_lock(entry->call_mu);
-    s = channel->send(util::to_bytes(marked.to_string()));
-  }
+  // The call-id is unused: no reply will ever reference it.
+  auto s = channel->send(
+      wire::encode_frame(0, wire::kFlagNoReply, cmd.to_string()));
   if (!s.ok()) {
     channel->close();
     errors_->inc();

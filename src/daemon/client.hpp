@@ -7,23 +7,19 @@
 // extension (paper Ch 9) builds on: when a service instance dies, callers
 // re-resolve through the ASD and resume against a replacement instance.
 //
-// Since wire protocol v2 the cached channel is *pipelined*: every request
-// frame carries a call-id (see daemon/wire.hpp), senders hold only a brief
-// bookkeeping lock, and a per-destination demux — a reactor pump on the
-// channel, not a thread — routes reply frames to per-call completion
-// slots. N threads calling the same daemon share one secure channel with N
-// requests in flight instead of N serialized round trips, and a process
-// full of clients costs no reader threads at all. Peers that negotiated v1
-// at the handshake fall back to the historical exchange: one outstanding
-// call per destination, serialized by a per-entry mutex held across the
-// round trip.
+// The cached channel is *pipelined*: every request frame carries a call-id
+// (see daemon/wire.hpp), senders hold only a brief bookkeeping lock, and a
+// per-destination demux — a reactor pump on the channel, not a thread —
+// routes reply frames to per-call completion slots. N threads calling the
+// same daemon share one secure channel with N requests in flight instead
+// of N serialized round trips, and a process full of clients costs no
+// reader threads at all.
 //
 // All request/reply traffic funnels through the single
 // call(to, cmd, CallOptions) entry point, so call latency, reconnects,
 // timeouts and retry policy are instrumented in exactly one place.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -80,11 +76,6 @@ struct BreakerPolicy {
 // Everything tunable about a client, applied as one unit via
 // AceClient::set_policy (replacing the old scattered per-knob setters).
 struct ClientPolicy {
-  // Protocol version offered on channels opened after the change; 0 =
-  // offer the environment's configured version. (Testing and the bench_rpc
-  // pipelining ablation: 1 forces the serialized v1 exchange even against
-  // a v2 daemon.)
-  std::uint8_t protocol_offer = 0;
   // Per-destination circuit breaker (see BreakerPolicy).
   BreakerPolicy breaker{};
   // Base delay inserted before retry k: backoff * 2^(k-1), scaled by a
@@ -115,13 +106,13 @@ class AceClient {
   // stale channel, a channel death mid-flight, or a reply timeout. With
   // options.require_ok, an `error ...;` reply comes back as a util::Error.
   // Thread-safe; concurrent calls to the same destination pipeline on one
-  // channel when the peer speaks protocol v2.
+  // channel.
   util::Result<cmdlang::CmdLine> call(const net::Address& to,
                                       const cmdlang::CmdLine& cmd,
                                       const CallOptions& options = {});
 
-  // Fire-and-forget: sends without waiting for the reply. Under v2 the
-  // noreply marker is a frame flag; v1 peers get the `_noreply` argument.
+  // Fire-and-forget: sends the command with the frame's noreply flag set,
+  // so the daemon executes it and sends nothing back.
   util::Status send_only(const net::Address& to, const cmdlang::CmdLine& cmd);
 
   void drop_connection(const net::Address& to);
@@ -143,18 +134,18 @@ class AceClient {
   Environment& env() { return env_; }
 
  private:
-  // One in-flight v2 call awaiting its reply from the demux reader.
+  // One in-flight call awaiting its reply from the demux reader.
   struct PendingCall {
     std::mutex mu;
     std::condition_variable cv;
     std::optional<util::Result<cmdlang::CmdLine>> result;
   };
 
-  // One cached channel per destination. `mu` guards every field and is
-  // only ever held for brief bookkeeping (never across a round trip).
-  // `call_mu` survives solely for v1 peers, whose unframed replies cannot
-  // interleave: it serializes the whole send->recv exchange as before.
-  // Lock order: call_mu -> mu -> PendingCall::mu, later locks optional.
+  // One cached channel per destination. `mu` guards every field. It is
+  // never held across a call's round trip, but ensure_channel_locked runs
+  // the blocking connect + handshake under it, so callers racing a
+  // (re)connect to the same destination wait for that handshake.
+  // Lock order: mu -> PendingCall::mu.
   struct ChannelEntry {
     std::mutex mu;
     std::shared_ptr<crypto::SecureChannel> channel;
@@ -167,8 +158,7 @@ class AceClient {
     bool breaker_open = false;
     bool probe_inflight = false;  // the single half-open probe is out
     std::chrono::steady_clock::time_point open_until{};
-    std::mutex call_mu;
-    // Reply demux for the *current* v2 channel: a reactor pump attached at
+    // Reply demux for the *current* channel: a reactor pump attached at
     // connect time. A replaced channel's old pump self-terminates (the
     // dead channel delivers its final callback) without being stopped
     // under entry.mu, which its own handler also takes.
@@ -205,11 +195,7 @@ class AceClient {
   void backoff_sleep(const CallOptions& options, int attempt);
   void fail_pending_locked(ChannelEntry& entry, const util::Error& error);
   void shutdown_entry(const std::shared_ptr<ChannelEntry>& entry);
-  util::Result<cmdlang::CmdLine> exchange_v1(
-      ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
-      const std::string& wire_text, std::chrono::milliseconds timeout,
-      const std::string& verb, const net::Address& to);
-  util::Result<cmdlang::CmdLine> exchange_v2(
+  util::Result<cmdlang::CmdLine> exchange(
       ChannelEntry& entry, const std::shared_ptr<crypto::SecureChannel>& ch,
       std::uint64_t call_id, const std::shared_ptr<PendingCall>& slot,
       const std::string& wire_text, std::chrono::milliseconds timeout,
@@ -218,11 +204,8 @@ class AceClient {
   Environment& env_;
   net::Host& host_;
   crypto::Identity identity_;
-  // The policy proper lives behind policy_mu_; protocol_offer is mirrored
-  // into an atomic so the connect path reads it lock-free.
   mutable std::mutex policy_mu_;
   ClientPolicy policy_;
-  std::atomic<std::uint8_t> protocol_offer_{0};
   // Idle-sweeper timer chain state (guarded by policy_mu_). The TaskGuard
   // revokes in-flight sweep tasks at destruction, since they capture
   // `this` raw.

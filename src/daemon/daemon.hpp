@@ -70,18 +70,6 @@ struct DaemonConfig {
   bool register_with_room_db = true;
   bool log_to_net_logger = true;
 
-  // true: this daemon's lease rides the host's LeaseCoordinator — one
-  // `renewBatch` RPC per host per interval. false: the original scheme, a
-  // dedicated lease thread and one `renew` RPC per service per interval
-  // (kept for the E15c renewal-traffic ablation).
-  bool batch_renew = true;
-
-  // true: notification fan-out coalesces every event queued for the same
-  // destination into one `notifyBatch` RPC (the renewBatch trick applied
-  // to the notify pump — one wire frame per subscriber host per drain, not
-  // per event). false restores per-event sends (the E21d ablation).
-  bool batch_notify = true;
-
   // When true, every command is checked through KeyNote (Fig 10) before
   // execution, with credentials fetched from the Authorization Database.
   bool enforce_authorization = false;
@@ -216,8 +204,7 @@ class ServiceDaemon {
     CallerInfo caller;
     std::shared_ptr<crypto::SecureChannel> channel;  // null for local execute
     bool noreply = false;
-    std::uint64_t call_id = 0;  // echoed on the reply frame (protocol v2)
-    bool v2 = false;            // frame the reply with the demux header
+    std::uint64_t call_id = 0;  // echoed on the reply frame
   };
 
   // One accepted connection as a reactor actor. Inbound frames are decoded
@@ -229,7 +216,6 @@ class ServiceDaemon {
     std::uint64_t id = 0;
     std::shared_ptr<crypto::SecureChannel> channel;
     CallerInfo caller;
-    bool v2 = false;
     util::MessageQueue<WorkItem> work;
     net::Subscription frame_sub;
     net::Subscription work_sub;
@@ -244,7 +230,6 @@ class ServiceDaemon {
   void run_notify_dest(const net::Address& dest);
   void record_notify_failure(const net::Address& dest,
                              const std::string& command);
-  void lease_loop(std::stop_token st);
   void teardown();
 
   cmdlang::CmdLine dispatch(const cmdlang::CmdLine& cmd,
@@ -273,14 +258,13 @@ class ServiceDaemon {
 
   std::unique_ptr<AceClient> control_client_;
   std::unique_ptr<AceClient> notify_client_;
-  std::unique_ptr<AceClient> infra_client_;  // lease renewal + registration
+  std::unique_ptr<AceClient> infra_client_;  // registration + net log
 
   // Notify pump: the queue carries destination *tokens*, the events
   // themselves accumulate per destination in notify_pending_. A token is
   // pushed only on a destination's empty→non-empty transition, so however
   // many events pile up between drains, each destination is visited once
-  // and its whole backlog rides one notifyBatch frame (config_.batch_notify
-  // permitting).
+  // and its whole backlog rides one notifyBatch frame.
   util::MessageQueue<net::Address> notify_queue_;
   std::mutex notify_pending_mu_;
   std::map<net::Address, std::vector<NotifyJob>> notify_pending_;
@@ -335,10 +319,6 @@ class ServiceDaemon {
   net::Subscription control_sub_;
   net::Subscription notify_sub_;
   net::Subscription data_sub_;
-  // Dedicated lease thread, kept only for the E15c per-service renewal
-  // ablation (batch_renew = false); the default path rides the host's
-  // LeaseCoordinator on reactor timers.
-  std::jthread lease_thread_;
 };
 
 }  // namespace ace::daemon

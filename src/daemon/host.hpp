@@ -100,10 +100,10 @@ class DaemonHost {
   void stop_all();
   ServiceDaemon* find_daemon(const std::string& name);
 
-  // The host's batched lease renewer (lease.hpp), created on first use —
-  // daemons with config.batch_renew enroll here instead of running their
-  // own lease thread. leases_withdraw() is the removal path that does NOT
-  // conjure a coordinator into existence just to leave it.
+  // The host's batched lease renewer (lease.hpp), created on first use;
+  // every daemon that registers with the ASD enrolls here.
+  // leases_withdraw() is the removal path that does NOT conjure a
+  // coordinator into existence just to leave it.
   LeaseCoordinator& leases();
   void leases_withdraw(const std::string& name);
 

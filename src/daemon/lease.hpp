@@ -1,13 +1,10 @@
 // LeaseCoordinator — host-level batched lease renewal.
 //
-// With per-daemon renewal (DaemonConfig::batch_renew = false, the original
-// scheme) every resident service runs its own lease thread and sends its
-// own `renew` RPC each period: a host with ten services costs the directory
-// ten RPCs per interval. The coordinator replaces those threads with one
-// repeating reactor timer per host that renews every resident lease in a
-// single `renewBatch` RPC — the renewal traffic a directory sees scales
-// with hosts, not with services (E15c measures the ratio), and a deployment
-// of many hosts costs no renewal threads at all.
+// Every resident daemon's lease is renewed by one repeating reactor timer
+// per host, which renews every resident lease in a single `renewBatch`
+// RPC. The renewal traffic a directory sees scales with hosts, not with
+// services (E15c measures it), and a deployment of many hosts costs no
+// renewal threads at all.
 //
 // A daemon enrolls after its Fig 9 registration and withdraws on stop() and
 // on crash(): a crashed process no longer renews, so its lease lapses and

@@ -185,9 +185,7 @@ std::vector<AsdRegistration> AsdIndex::query(std::string_view name_glob,
     }
   };
 
-  if (!use_index_) {
-    scan_all();
-  } else if (!has_wildcard(name_glob)) {
+  if (!has_wildcard(name_glob)) {
     // Exact name: a point lookup regardless of the other patterns.
     hit();
     consider(std::string(name_glob));

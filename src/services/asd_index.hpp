@@ -69,8 +69,7 @@ class AsdIndex {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit AsdIndex(bool use_index = true, AsdIndexObs obs = {})
-      : use_index_(use_index), obs_(obs) {}
+  explicit AsdIndex(AsdIndexObs obs = {}) : obs_(obs) {}
 
   // --- writers (exclusive lock) -------------------------------------------
   // Inserts or replaces a registration (re-registration moves the entry
@@ -104,8 +103,8 @@ class AsdIndex {
   // --- readers (shared lock) ----------------------------------------------
   std::optional<AsdRegistration> find(const std::string& name) const;
 
-  // Glob query over name/class/room. Results are name-sorted so the
-  // indexed and linear paths return byte-identical replies.
+  // Glob query over name/class/room. Results are name-sorted, so a reply
+  // does not depend on which index path selected the candidates.
   std::vector<AsdRegistration> query(std::string_view name_glob,
                                      std::string_view class_glob,
                                      std::string_view room_glob,
@@ -147,7 +146,6 @@ class AsdIndex {
                               std::string_view room_glob, Clock::time_point now,
                               std::vector<AsdRegistration>& out) const;
 
-  bool use_index_;
   AsdIndexObs obs_;
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, Entry> registry_;

@@ -1,6 +1,6 @@
 // Group commit for store replication: a per-peer batcher that coalesces
 // concurrent replicated writes into one framed `storeReplicateBatch` RPC
-// per peer per flush, riding the v2 pipelined channel.
+// per peer per flush, riding the pipelined command channel.
 //
 // Each destination replica gets a *lane*: a queue plus a flusher thread.
 // Writers enqueue an opaque record and receive a Pending handle to await

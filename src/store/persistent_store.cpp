@@ -80,9 +80,6 @@ util::Status validate_store_options(const StoreOptions& o) {
     return bad("scan_limit (" + std::to_string(o.scan_limit) +
                ") must be in [1, scan_limit_max=" +
                std::to_string(o.scan_limit_max) + "]");
-  if (o.list_max_keys < 1)
-    return bad("list_max_keys must be >= 1 (got " +
-               std::to_string(o.list_max_keys) + ")");
   return util::Status::ok_status();
 }
 
@@ -241,54 +238,6 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
         return reply;
       });
 
-  // Compatibility shim over storeScan: pages through the whole prefix and
-  // concatenates, capped at StoreOptions.list_max_keys (truncated=yes when
-  // the cap bites). New callers should page with storeScan instead.
-  register_command(
-      CommandSpec("storeList", "list keys under a namespace prefix").concurrent_ok()
-          .arg(string_arg("prefix").optional_arg())
-          .arg(word_arg("scope").optional_arg().choices({"cluster", "local"})),
-      [this](const CmdLine& cmd, const CallerInfo&) {
-        const std::string prefix = cmd.get_text("prefix");
-        const bool local = cmd.get_text("scope") == "local";
-        const auto page_limit = static_cast<std::size_t>(
-            std::clamp(options_.scan_limit, 1, options_.scan_limit_max));
-        const auto cap =
-            static_cast<std::size_t>(std::max(1, options_.list_max_keys));
-        std::vector<std::string> keys;
-        std::string cursor;
-        bool truncated = false;
-        while (true) {
-          std::vector<std::string> page_keys;
-          bool done = false;
-          if (local) {
-            ScanPage p = scan_local(prefix, cursor, page_limit);
-            page_keys = std::move(p.keys);
-            done = p.done;
-            cursor = p.next;
-          } else {
-            auto p = scan_cluster(prefix, cursor, page_limit);
-            if (!p.ok())
-              return cmdlang::make_error(p.error().code, p.error().message);
-            page_keys = std::move(p->keys);
-            done = p->done;
-            cursor = p->next;
-          }
-          for (std::string& key : page_keys) {
-            if (keys.size() >= cap) {
-              truncated = true;
-              break;
-            }
-            keys.push_back(std::move(key));
-          }
-          if (truncated || done) break;
-        }
-        CmdLine reply = cmdlang::make_ok();
-        reply.arg("keys", cmdlang::string_vector(std::move(keys)));
-        if (truncated) reply.arg("truncated", Word{"yes"});
-        return reply;
-      });
-
   register_command(CommandSpec("storeCount", "count live objects (this replica)").concurrent_ok(),
                    [this](const CmdLine&, const CallerInfo&) {
                      CmdLine reply = cmdlang::make_ok();
@@ -298,7 +247,10 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
                    });
 
   register_command(
-      CommandSpec("storeDigest", "full key/version digest (anti-entropy ablation)").concurrent_ok(),
+      CommandSpec("storeDigest",
+                  "full key/version digest (anti-entropy between replicas "
+                  "with different merkle_depth)")
+          .concurrent_ok(),
       [this](const CmdLine&, const CallerInfo&) {
         std::vector<std::string> entries;
         {
@@ -881,40 +833,29 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
 
   const auto deadline = steady_clock::now() + options_.replicate_timeout;
   std::vector<net::Address> failed;
-  if (batcher && options_.group_commit) {
-    std::vector<std::pair<net::Address,
-                          std::shared_ptr<ReplicationBatcher::Pending>>>
-        inflight;
+  std::vector<
+      std::pair<net::Address, std::shared_ptr<ReplicationBatcher::Pending>>>
+      inflight;
+  if (batcher) {
     inflight.reserve(targets.size());
     const std::string entry = encode_replica_entry(key, record, "");
     for (const net::Address& t : targets)
       inflight.emplace_back(t, batcher->submit(t, entry));
-    for (auto& [t, pending] : inflight) {
-      // Every attempt is awaited even once W acks are in: a miss must be
-      // *observed* to leave a hint behind, and that hint is what makes the
-      // downed replica converge on heal. The per-peer circuit breaker
-      // keeps waits on a dead peer cheap after the first few timeouts.
-      if (pending->wait_until(deadline)) {
-        ++acks;
-        ++peer_acks;
-      } else {
-        failed.push_back(t);
-      }
-    }
   } else {
-    // Ablation path: the seed's sequential per-write fan-out.
-    CmdLine rep = make_replicate_cmd(key, record, "");
-    for (const net::Address& t : targets) {
-      auto reply = control_client().call(
-          t, rep,
-          daemon::CallOptions{.timeout = options_.replicate_timeout,
-                              .retries = 0});
-      if (reply.ok() && cmdlang::is_ok(reply.value())) {
-        ++acks;
-        ++peer_acks;
-      } else {
-        failed.push_back(t);
-      }
+    // No batcher before the first on_start: every peer attempt is a miss,
+    // just as a shut-down batcher fast-fails its submissions.
+    failed = targets;
+  }
+  for (auto& [t, pending] : inflight) {
+    // Every attempt is awaited even once W acks are in: a miss must be
+    // *observed* to leave a hint behind, and that hint is what makes the
+    // downed replica converge on heal. The per-peer circuit breaker keeps
+    // waits on a dead peer cheap after the first few timeouts.
+    if (pending->wait_until(deadline)) {
+      ++acks;
+      ++peer_acks;
+    } else {
+      failed.push_back(t);
     }
   }
 
@@ -965,11 +906,6 @@ PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
   return out;
 }
 
-CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
-  return options_.digest_reads ? coordinate_read_digest(key)
-                               : coordinate_read_serial(key);
-}
-
 // Parallel digest read: one full value (from this replica when it owns
 // the key, else from the first listed owner) plus version digests from
 // every other preference-list replica, all RPCs issued concurrently on
@@ -977,7 +913,7 @@ CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
 // the whole fan-out; if a digest outvotes the full copy, the newest value
 // is fetched from one of its holders before replying, and any replica
 // observed stale or absent is repaired off the reply path.
-CmdLine PersistentStoreDaemon::coordinate_read_digest(const std::string& key) {
+CmdLine PersistentStoreDaemon::coordinate_read(const std::string& key) {
   std::vector<net::Address> prefs;
   net::TaskGuard guard;
   {
@@ -1182,79 +1118,6 @@ CmdLine PersistentStoreDaemon::coordinate_read_digest(const std::string& key) {
   return reply;
 }
 
-// Legacy serial quorum read — the digest_reads=false ablation baseline.
-// Kept bit-identical in reply shape to the digest path.
-CmdLine PersistentStoreDaemon::coordinate_read_serial(const std::string& key) {
-  std::vector<net::Address> prefs;
-  {
-    std::scoped_lock lock(mu_);
-    prefs = ring_.preference_list(
-        key, static_cast<std::size_t>(std::max(1, options_.replication)));
-  }
-  const net::Address self = address();
-  const int r_eff = std::max(
-      1, std::min(options_.read_quorum, static_cast<int>(prefs.size())));
-  const bool self_owner =
-      std::find(prefs.begin(), prefs.end(), self) != prefs.end();
-
-  int replies = 0;
-  std::optional<ObjectRecord> best;
-  auto offer = [&best](ObjectRecord candidate) {
-    if (!best || candidate.version > best->version)
-      best = std::move(candidate);
-  };
-
-  if (self_owner) {
-    // One lock scope for the whole local vote (an owner's authoritative
-    // answer, even "absent").
-    std::scoped_lock lock(mu_);
-    ++replies;
-    auto it = objects_.find(key);
-    if (it != objects_.end()) offer(it->second);
-  }
-
-  if (replies < r_eff) {
-    CmdLine sub("storeGet");
-    sub.arg("key", key);
-    sub.arg("scope", Word{"local"});
-    for (const net::Address& node : prefs) {
-      if (node == self) continue;
-      if (replies >= r_eff) break;
-      auto reply = control_client().call(
-          node, sub,
-          daemon::CallOptions{.timeout = options_.replicate_timeout,
-                              .retries = 0});
-      if (!reply.ok()) continue;
-      if (cmdlang::is_ok(reply.value())) {
-        ObjectRecord candidate;
-        candidate.version =
-            static_cast<std::uint64_t>(reply->get_integer("version"));
-        candidate.deleted = reply->get_text("deleted") == "yes";
-        candidate.data = bytes_of_hex(reply->get_text("data"));
-        ++replies;
-        offer(std::move(candidate));
-      } else if (cmdlang::reply_error(reply.value()).code ==
-                 util::Errc::not_found) {
-        ++replies;  // authoritative absence
-      }
-    }
-  }
-
-  if (replies < r_eff) {
-    obs_read_unavailable_->inc();
-    return cmdlang::make_error(
-        util::Errc::unavailable,
-        "read quorum not met (replies=" + std::to_string(replies) +
-            " R=" + std::to_string(r_eff) + ")");
-  }
-  if (!best || best->deleted)
-    return cmdlang::make_error(util::Errc::not_found, "no such object");
-  CmdLine reply = cmdlang::make_ok();
-  reply.arg("data", hex_of(best->data));
-  reply.arg("version", static_cast<std::int64_t>(best->version));
-  return reply;
-}
-
 void PersistentStoreDaemon::schedule_read_repair(
     const std::string& key, const ObjectRecord& winner,
     std::vector<net::Address> stale) {
@@ -1339,8 +1202,7 @@ PersistentStoreDaemon::parse_scan_cursor(const std::string& blob) {
 // been scanned to (the "barrier"), so no key can later arrive behind the
 // emission front. The cursor blob records, per peer, where to resume —
 // which makes the cursor resumable through any coordinator. Unreachable
-// peers are dropped from the remainder of the scan, best effort, matching
-// the storeList contract.
+// peers are dropped from the remainder of the scan, best effort.
 util::Result<PersistentStoreDaemon::ClusterPage>
 PersistentStoreDaemon::scan_cluster(const std::string& prefix,
                                     const std::string& cursor_blob,
@@ -1636,8 +1498,7 @@ util::Result<std::int64_t> PersistentStoreDaemon::sync_from_peers() {
   }
   std::int64_t fetched = 0;
   for (const net::Address& peer : peers)
-    fetched += options_.merkle_sync ? sync_with_peer_merkle(peer)
-                                    : sync_with_peer_full(peer);
+    fetched += sync_with_peer_merkle(peer);
   // Anti-entropy applies are logged but lazily synced per entry; one flush
   // at the end of the round makes the whole catch-up durable. A crash
   // before it just means the next round re-fetches the tail.

@@ -27,12 +27,13 @@
 //     survives sharding.
 //   * Group commit — replica fan-out rides a per-peer batcher
 //     (store/batch.hpp) that coalesces concurrent writes into one framed
-//     `storeReplicateBatch` per peer per flush, on the v2 pipelined
+//     `storeReplicateBatch` per peer per flush, on the pipelined command
 //     channel.
 //   * Merkle anti-entropy — a rejoining replica compares O(log n) digest
 //     tree hashes (`storeDigestTree`) against each peer and fetches only
-//     divergent buckets, replacing the O(n) full `storeDigest` exchange
-//     (kept as an ablation/back-compat path).
+//     divergent buckets. A peer with a different `merkle_depth` has an
+//     incompatible tree, so that pair falls back to the O(n) full
+//     `storeDigest` exchange.
 //   * Local durability — with `StoreOptions.disk` attached, every applied
 //     record (and hinted-handoff obligation) is logged to a CRC-framed WAL
 //     on a fault-injectable simulated disk (io::SimDisk) and group-commit
@@ -48,7 +49,6 @@
 //   storeDelete key=;                  -> ok version= acks=
 //   storeScan prefix=? cursor=? limit=? scope=?;
 //                                      -> ok keys={...} next= done=
-//   storeList prefix=? scope=?;        -> ok keys={...} (shim over storeScan)
 //   storeCount;                        -> ok count=        (this replica)
 //   storeDigest;                       -> ok entries={key|version|flag ...}
 //   storeDigestTree nodes=;            -> ok depth= leaves= hashes={id|hash}
@@ -98,23 +98,13 @@ struct StoreOptions {
   // Merkle digest tree depth: 2^depth anti-entropy buckets.
   int merkle_depth = 12;
 
-  // Group-commit replication (false: seed-style sequential per-write
-  // storeReplicate RPCs — kept as the E16 ablation baseline).
-  bool group_commit = true;
-  // Extra batcher coalescing wait before each flush (0 = flush when idle;
-  // the in-flight RPC is the natural batching window).
+  // Extra coalescing wait before each flush of the per-peer replication
+  // batcher (store/batch.hpp; 0 = flush when idle — the in-flight RPC is
+  // the natural batching window).
   std::chrono::milliseconds flush_interval{0};
   // Per-peer replication deadline (batched and direct).
   std::chrono::milliseconds replicate_timeout{300};
 
-  // Merkle-tree anti-entropy (false: full storeDigest scan — ablation).
-  bool merkle_sync = true;
-
-  // Digest reads: a cluster-scope storeGet fetches one full value plus
-  // version digests (storeGetDigest) from the other preference-list
-  // replicas, all in parallel on the pipelined channel. false restores the
-  // legacy serial full-value quorum loop (the E20 ablation baseline).
-  bool digest_reads = true;
   // Read repair: a replica observed stale or absent during a read gets an
   // async storeReplicate of the winning record on the ops pool, so hot
   // keys converge without waiting for Merkle anti-entropy.
@@ -123,9 +113,6 @@ struct StoreOptions {
   // hard per-page cap any request is clamped to.
   int scan_limit = 256;
   int scan_limit_max = 4096;
-  // storeList compatibility shim: keys per reply cap (the shim pages
-  // through storeScan and stops here, flagging the reply truncated=yes).
-  int list_max_keys = 100000;
 
   // Local durability. When a disk is attached every applied record is
   // WAL-logged (CRC-framed, group-commit fsynced before the write acks),
@@ -166,7 +153,8 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   // Runs one anti-entropy round against all reachable peers; returns the
   // number of objects fetched. (Also exposed as the storeSync command, and
   // triggered automatically on boot and on peer-rejoin detection.) Uses the
-  // Merkle digest tree unless StoreOptions.merkle_sync is off.
+  // Merkle digest tree, or the full digest against a peer whose
+  // merkle_depth differs.
   util::Result<std::int64_t> sync_from_peers();
 
   // Introspection for tests and benches.
@@ -231,10 +219,7 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   WriteOutcome coordinate_write(const std::string& key,
                                 const ObjectRecord& record);
   // Cluster-scope read gathering up to R copies; newest version wins.
-  // Dispatches to the parallel digest path or the legacy serial loop.
   cmdlang::CmdLine coordinate_read(const std::string& key);
-  cmdlang::CmdLine coordinate_read_digest(const std::string& key);
-  cmdlang::CmdLine coordinate_read_serial(const std::string& key);
   // Pushes the winning record to replicas observed stale/absent during a
   // read — async on the ops pool, off the reply path.
   void schedule_read_repair(const std::string& key, const ObjectRecord& winner,

@@ -90,8 +90,8 @@ util::Status StoreClient::remove(const std::string& key) {
 
 util::Result<std::vector<std::string>> StoreClient::list(
     const std::string& prefix) {
-  // Drain the storeScan pager rather than asking for one giant storeList
-  // reply: every RPC stays bounded by the page limit, so the aggregate
+  // Drain the storeScan pager rather than asking for one giant reply:
+  // every RPC stays bounded by the page limit, so the aggregate
   // scales with namespace size instead of racing a whole-namespace reply
   // against the call timeout — and a replica lost mid-list just fails the
   // next page over to a peer (the cursor is coordinator-independent).

@@ -1,10 +1,11 @@
 // Directory-at-scale tests for the AsdIndex rework: concurrent
 // register/renew/expire/query torture with index<->registry consistency
-// checks, indexed-vs-linear ablation equivalence, batched lease renewal,
-// and the AsdClient lookup cache (lease bound, negative entries,
+// checks, index results against a brute-force reference, batched lease
+// renewal, and the AsdClient lookup cache (lease bound, negative entries,
 // invalidation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -13,6 +14,7 @@
 #include "services/asd_index.hpp"
 #include "services/monitors.hpp"
 #include "store/robustness.hpp"
+#include "util/strings.hpp"
 
 using namespace ace;
 using namespace std::chrono_literals;
@@ -44,11 +46,11 @@ std::vector<std::string> names_of(
 
 }  // namespace
 
-// ------------------------------------------------------------ index ablation
+// ----------------------------------------------------------- index queries
 
-TEST(AsdIndexAblation, IndexedAndLinearReturnIdenticalResults) {
-  services::AsdIndex indexed(/*use_index=*/true);
-  services::AsdIndex linear(/*use_index=*/false);
+TEST(AsdIndexQuery, MatchesBruteForceGlobReference) {
+  services::AsdIndex indexed;
+  std::vector<services::AsdRegistration> inserted;
 
   const std::vector<std::string> classes = {
       "Service/Device/Camera/PTZ", "Service/Device/Camera/Fixed",
@@ -58,8 +60,22 @@ TEST(AsdIndexAblation, IndexedAndLinearReturnIdenticalResults) {
     auto r = make_reg("svc-" + std::to_string(i), classes[i % classes.size()],
                       rooms[i % rooms.size()]);
     indexed.upsert(r);
-    linear.upsert(r);
+    inserted.push_back(r);
   }
+  // The reference: every inserted, live registration matching all three
+  // globs, name-sorted like the index's replies.
+  auto brute_force = [&](const std::string& name, const std::string& cls,
+                         const std::string& room,
+                         std::chrono::steady_clock::time_point now) {
+    std::vector<std::string> out;
+    for (const auto& r : inserted)
+      if (r.expires >= now && util::glob_match(name, r.name) &&
+          util::glob_match(cls, r.service_class) &&
+          util::glob_match(room, r.room))
+        out.push_back(r.name);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
 
   const auto now = std::chrono::steady_clock::now();
   // Every query shape the index special-cases, plus the full-scan fallback.
@@ -77,16 +93,15 @@ TEST(AsdIndexAblation, IndexedAndLinearReturnIdenticalResults) {
       {"*", "*", "*"},                              // match-all scan
   };
   for (const auto& q : queries) {
-    auto a = indexed.query(q[0], q[1], q[2], now);
-    auto b = linear.query(q[0], q[1], q[2], now);
-    EXPECT_EQ(names_of(a), names_of(b))
+    auto got = indexed.query(q[0], q[1], q[2], now);
+    EXPECT_EQ(names_of(got), brute_force(q[0], q[1], q[2], now))
         << "query name=" << q[0] << " class=" << q[1] << " room=" << q[2];
   }
   EXPECT_TRUE(indexed.check_consistency());
 }
 
-TEST(AsdIndexAblation, RenewSupersedesHeapAndExpirySticks) {
-  services::AsdIndex index(true);
+TEST(AsdIndexQuery, RenewSupersedesHeapAndExpirySticks) {
+  services::AsdIndex index;
   auto r = make_reg("ephemeral", "Service/X", "hawk");
   r.lease = 50ms;
   r.expires = std::chrono::steady_clock::now() + r.lease;
@@ -237,7 +252,7 @@ TEST_F(AsdScaleTest, HostCoordinatorKeepsServicesAliveWithOneRpcStream) {
     c.name = "worker-" + std::to_string(i);
     c.room = "hawk";
     c.lease = 300ms;
-    c.lease_renew = 100ms;  // batch_renew defaults to true
+    c.lease_renew = 100ms;
     daemons.push_back(&host.add_daemon<services::HrmDaemon>(c));
   }
   ASSERT_TRUE(host.start_all().ok());

@@ -4,7 +4,7 @@
 //  * cross-room query forwarding — merge semantics, the scope=local loop
 //    guard, scoped-cache hits and gossip-driven invalidation,
 //  * the relay tier — tunneled queries to a room whose direct link is down,
-//  * coalesced notification fan-out (notifyBatch) and its ablation.
+//  * coalesced notification fan-out (notifyBatch).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -447,7 +447,7 @@ TEST(NotifyBatchTest, BuiltinDispatchesEachEventAndReportsCounts) {
   EXPECT_EQ(sink.received(), 2);
 }
 
-TEST(NotifyBatchTest, BurstCoalescesIntoBatchesAndAblationDoesNot) {
+TEST(NotifyBatchTest, BurstCoalescesIntoBatches) {
   testenv::AceTestEnv deployment(78);
   ASSERT_TRUE(deployment.start().ok());
   daemon::DaemonHost host(deployment.env, "workstation");
@@ -456,26 +456,17 @@ TEST(NotifyBatchTest, BurstCoalescesIntoBatchesAndAblationDoesNot) {
   ec.name = "emitter";
   ec.room = "hawk";
   auto& emitter = host.add_daemon<SinkDaemon>(ec);
-  daemon::DaemonConfig ac;
-  ac.name = "emitter-ablate";
-  ac.room = "hawk";
-  ac.batch_notify = false;  // the per-event ablation
-  auto& ablated = host.add_daemon<SinkDaemon>(ac);
   daemon::DaemonConfig sc;
   sc.name = "sink";
   sc.room = "hawk";
   auto& sink = host.add_daemon<SinkDaemon>(sc);
   ASSERT_TRUE(host.start_all().ok());
 
-  auto subscribe = [&](daemon::ServiceDaemon& from) {
-    CmdLine sub("addNotification");
-    sub.arg("command", Word{"poke"});
-    sub.arg("service", sink.address().to_string());
-    sub.arg("method", Word{"noted"});
-    ASSERT_TRUE(cmdlang::is_ok(from.execute(sub, kCaller)));
-  };
-  subscribe(emitter);
-  subscribe(ablated);
+  CmdLine sub("addNotification");
+  sub.arg("command", Word{"poke"});
+  sub.arg("service", sink.address().to_string());
+  sub.arg("method", Word{"noted"});
+  ASSERT_TRUE(cmdlang::is_ok(emitter.execute(sub, kCaller)));
 
   auto& batches = deployment.env.metrics().counter("daemon.notify_batches");
   auto& batched_events =
@@ -483,20 +474,12 @@ TEST(NotifyBatchTest, BurstCoalescesIntoBatchesAndAblationDoesNot) {
   constexpr int kEvents = 300;
   CmdLine poke("poke");
 
-  // Batched emitter: a tight burst piles events behind the notify pump's
-  // first (connection-establishing) send, so coalescing must kick in.
+  // A tight burst piles events behind the notify pump's first
+  // (connection-establishing) send, so coalescing must kick in.
   const auto batches_before = batches.value();
   for (int i = 0; i < kEvents; ++i) (void)emitter.execute(poke, kCaller);
   ASSERT_TRUE(eventually(5000ms, [&] { return sink.received() >= kEvents; }));
   EXPECT_EQ(sink.received(), kEvents);
   EXPECT_GT(batches.value(), batches_before);
   EXPECT_GT(batched_events.value(), 0u);
-
-  // Ablated emitter: same burst, zero batches, every event still lands.
-  const auto batches_mid = batches.value();
-  for (int i = 0; i < kEvents; ++i) (void)ablated.execute(poke, kCaller);
-  ASSERT_TRUE(
-      eventually(5000ms, [&] { return sink.received() >= 2 * kEvents; }));
-  EXPECT_EQ(sink.received(), 2 * kEvents);
-  EXPECT_EQ(batches.value(), batches_mid);
 }

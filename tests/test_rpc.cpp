@@ -1,7 +1,7 @@
-// Tests for the pipelined multiplexed command channel (wire protocol v2):
-// concurrent in-flight calls per destination, out-of-order reply routing,
-// retry across channel death, v1<->v2 interop in both directions, and the
-// daemon-side handshake pool keeping slow connectors off the accept path.
+// Tests for the pipelined multiplexed command channel: concurrent in-flight
+// calls per destination, out-of-order reply routing, retry across channel
+// death, fire-and-forget sends, and the daemon-side handshake pool keeping
+// slow connectors off the accept path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "ace_test_env.hpp"
-#include "daemon/wire.hpp"
 
 using namespace ace;
 using namespace std::chrono_literals;
@@ -51,9 +50,7 @@ class RpcTestDaemon : public daemon::ServiceDaemon {
 };
 
 struct RpcFixture {
-  explicit RpcFixture(std::uint8_t daemon_protocol = 0) : env(7) {
-    if (daemon_protocol != 0)
-      env.env.channel_options().protocol = daemon_protocol;
+  RpcFixture() : env(7) {
     EXPECT_TRUE(env.start().ok());
     svc_host = std::make_unique<daemon::DaemonHost>(env.env, "svc");
     daemon::DaemonConfig cfg;
@@ -186,50 +183,6 @@ TEST(Rpc, RetriesReconnectAfterChannelDeathMidFlight) {
   caller2.join();
 }
 
-// v1 client against a v2 daemon: the client offers protocol 1, the daemon
-// accepts, and calls run over the serialized v1 exchange.
-TEST(Rpc, V1ClientInteropsWithV2Daemon) {
-  RpcFixture f;
-  const net::Address addr = f.svc->address();
-  f.client->set_policy({.protocol_offer = daemon::wire::kProtocolV1});
-  for (int i = 0; i < 3; ++i) {
-    CmdLine cmd("echo");
-    cmd.arg("text", "old speaker " + std::to_string(i));
-    auto reply = f.client->call(addr, cmd, daemon::kCallOk);
-    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-    EXPECT_EQ(reply->get_text("text"), "old speaker " + std::to_string(i));
-  }
-  // send_only falls back to the v1 _noreply argument marker.
-  CmdLine fire("echo");
-  fire.arg("text", "noreply");
-  EXPECT_TRUE(f.client->send_only(addr, fire).ok());
-}
-
-// v2 client against a v1 daemon: negotiation lands on the older version
-// and everything still works (including concurrent callers, serialized).
-TEST(Rpc, V2ClientInteropsWithV1Daemon) {
-  RpcFixture f(daemon::wire::kProtocolV1);  // whole deployment speaks v1
-  const net::Address addr = f.svc->address();
-  f.client->set_policy({.protocol_offer = daemon::wire::kProtocolV2});
-  std::atomic<int> failures{0};
-  {
-    std::vector<std::jthread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t] {
-        for (int i = 0; i < 5; ++i) {
-          CmdLine cmd("echo");
-          cmd.arg("text", "v1 peer " + std::to_string(t));
-          auto reply = f.client->call(addr, cmd, daemon::kCallOk);
-          if (!reply.ok() || reply->get_text("text") !=
-                                 "v1 peer " + std::to_string(t))
-            failures++;
-        }
-      });
-    }
-  }
-  EXPECT_EQ(failures.load(), 0);
-}
-
 // A connector that never starts its handshake must not stall other
 // clients: the handshake runs on a worker pool, off the accept path.
 TEST(Rpc, SlowHandshakerDoesNotBlockAcceptPath) {
@@ -250,7 +203,7 @@ TEST(Rpc, SlowHandshakerDoesNotBlockAcceptPath) {
   stalled.value().close();
 }
 
-// Fire-and-forget under v2: the noreply marker travels as a frame flag,
+// Fire-and-forget: the noreply marker travels as a frame flag,
 // the daemon executes the command and sends nothing back.
 TEST(Rpc, SendOnlyUsesNoReplyFlag) {
   RpcFixture f;

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <optional>
 
 #include "ace_test_env.hpp"
 #include "chaos/chaos.hpp"
@@ -402,10 +404,10 @@ std::string padded_key(const std::string& prefix, int i) {
 }
 }  // namespace
 
-// Paging through storeScan must reproduce exactly what one giant list()
-// reply holds — same keys, same (ascending) order — with every page
-// bounded by the requested limit.
-TEST_F(ShardedStoreTest, ScanPaginationMatchesListSnapshot) {
+// Paging through storeScan must reproduce exactly the live keys the test
+// wrote — same keys, same (ascending) order — with every page bounded by
+// the requested limit.
+TEST_F(ShardedStoreTest, ScanPaginationMatchesWrittenKeySet) {
   store::StoreClient store(*client_, addresses_);
   for (int i = 0; i < 120; ++i)
     ASSERT_TRUE(store.put(padded_key("scan/", i), util::to_bytes("v")).ok());
@@ -415,27 +417,17 @@ TEST_F(ShardedStoreTest, ScanPaginationMatchesListSnapshot) {
   for (int i = 0; i < 120; i += 10)
     ASSERT_TRUE(store.remove(padded_key("scan/", i)).ok());
 
-  // Snapshot via the one-shot wire storeList (the server-side shim), so
-  // the pager is checked against a single giant reply, not against itself
-  // (StoreClient::list() drains the same pager under the hood).
-  cmdlang::CmdLine list_cmd("storeList");
-  list_cmd.arg("prefix", std::string("scan/"));
-  auto list_reply = client_->call(
-      addresses_[0], list_cmd,
-      daemon::CallOptions{.timeout = std::chrono::seconds(10)});
-  ASSERT_TRUE(list_reply.ok());
-  ASSERT_TRUE(cmdlang::is_ok(list_reply.value()));
-  std::vector<std::string> snapshot_keys;
-  auto vec = list_reply->get_vector("keys");
-  ASSERT_TRUE(vec.has_value());
-  for (const auto& elem : vec->elements) snapshot_keys.push_back(elem.as_text());
-  ASSERT_EQ(snapshot_keys.size(), 108u);
-  ASSERT_TRUE(std::is_sorted(snapshot_keys.begin(), snapshot_keys.end()));
+  // The reference model: every scan/ key written and not deleted, in
+  // ascending order (zero-padded, so lexicographic is numeric).
+  std::vector<std::string> expected_keys;
+  for (int i = 0; i < 120; ++i)
+    if (i % 10 != 0) expected_keys.push_back(padded_key("scan/", i));
+  ASSERT_EQ(expected_keys.size(), 108u);
 
-  // The client-side list() (pager drain) must agree with the wire shim.
+  // The client-side list() (pager drain) must agree with the model.
   auto drained = store.list("scan/");
   ASSERT_TRUE(drained.ok());
-  EXPECT_EQ(*drained, snapshot_keys);
+  EXPECT_EQ(*drained, expected_keys);
 
   store::StoreScanner scanner = store.scan("scan/", 7);
   std::vector<std::string> paged;
@@ -449,7 +441,7 @@ TEST_F(ShardedStoreTest, ScanPaginationMatchesListSnapshot) {
     ASSERT_LT(pages, 1000) << "scan failed to terminate";
   }
   EXPECT_GT(pages, 1);
-  EXPECT_EQ(paged, snapshot_keys);
+  EXPECT_EQ(paged, expected_keys);
   EXPECT_GE(deployment_->env.metrics().counter("store.scan_pages").value(),
             static_cast<std::uint64_t>(pages));
 }
@@ -800,93 +792,171 @@ TEST_F(QuorumStoreTest, ReadQuorumUnavailableIsSurfaced) {
   hosts_[2]->restore();
 }
 
-// Ablation identity: the digest fan-out is an optimization, not a
-// semantics change. The same workload — binary payloads, overwrites,
-// deletes, a stale-replica window — must read back byte-identical with
-// digest reads on and off.
-TEST(StoreDigestAblationTest, DigestReadsReturnIdenticalResults) {
-  struct MiniCluster {
-    explicit MiniCluster(bool digest_reads) {
-      store::StoreOptions opts;
-      opts.write_quorum = 2;
-      opts.read_quorum = 2;
-      opts.digest_reads = digest_reads;
-      opts.probe_interval = std::chrono::seconds(60);
-      env = std::make_unique<testenv::AceTestEnv>();
-      EXPECT_TRUE(env->start().ok());
-      client = env->make_client("app-host", "svc/app");
-      for (int i = 0; i < 3; ++i) {
-        hosts.push_back(std::make_unique<daemon::DaemonHost>(
-            env->env, "store" + std::to_string(i + 1)));
-        daemon::DaemonConfig c;
-        c.name = "store" + std::to_string(i + 1);
-        c.room = "machine-room";
-        c.port = 6000;
-        replicas.push_back(&hosts.back()->add_daemon<store::PersistentStoreDaemon>(
-            c, i + 1, opts));
-      }
-      for (int i = 0; i < 3; ++i) {
-        std::vector<net::Address> peers;
-        for (int j = 0; j < 3; ++j)
-          if (j != i) peers.push_back(replicas[j]->address());
-        replicas[i]->set_peers(peers);
-        EXPECT_TRUE(replicas[i]->start().ok());
-      }
-      for (auto* r : replicas) addresses.push_back(r->address());
-      store = std::make_unique<store::StoreClient>(*client, addresses);
+// The digest read path against a reference model: the same workload —
+// binary payloads, overwrites, deletes, a stale-replica window — must read
+// back exactly the values the test itself had acknowledged.
+TEST_F(QuorumStoreTest, DigestReadsMatchAckedValuesAcrossStaleWindow) {
+  store::StoreOptions opts;
+  opts.write_quorum = 2;
+  opts.read_quorum = 2;
+  // Park the peer monitor after its boot pass, so the stale replica stays
+  // stale until the reads below (no hint drain, no anti-entropy).
+  opts.probe_interval = std::chrono::seconds(60);
+  start_cluster(opts);
+  store::StoreClient store(*client_, addresses_);
+
+  // key -> acked value; nullopt = deleted or never written.
+  std::map<std::string, std::optional<util::Bytes>> model;
+  util::Bytes all_bytes;
+  for (int i = 0; i < 256; ++i)
+    all_bytes.push_back(static_cast<std::uint8_t>(i));
+  ASSERT_TRUE(store.put("a/bin", all_bytes).ok());
+  model["a/bin"] = all_bytes;
+  ASSERT_TRUE(store.put("a/x", util::to_bytes("first")).ok());
+  ASSERT_TRUE(store.put("a/x", util::to_bytes("second")).ok());
+  model["a/x"] = util::to_bytes("second");
+  ASSERT_TRUE(store.put("a/gone", util::to_bytes("doomed")).ok());
+  ASSERT_TRUE(store.remove("a/gone").ok());
+  model["a/gone"] = std::nullopt;
+  ASSERT_TRUE(store.put("a/stale", util::to_bytes("old")).ok());
+  model["a/never-written"] = std::nullopt;
+
+  // Stale-replica window: store3 misses an overwrite, then the partition
+  // heals and reads must still see the newest value.
+  auto& net = deployment_->env.network();
+  net.set_partitioned("store3", "store1", true);
+  net.set_partitioned("store3", "store2", true);
+  net.set_partitioned("store3", "app-host", true);
+  ASSERT_TRUE(store.put("a/stale", util::to_bytes("newest")).ok());
+  model["a/stale"] = util::to_bytes("newest");
+  net.set_partitioned("store3", "store1", false);
+  net.set_partitioned("store3", "store2", false);
+  net.set_partitioned("store3", "app-host", false);
+  auto stale_copy = replicas_[2]->object("a/stale");
+  ASSERT_TRUE(stale_copy.has_value());
+  ASSERT_EQ(util::to_string(stale_copy->data), "old");
+
+  for (const auto& [key, want] : model) {
+    auto got = store.get(key);
+    if (want) {
+      ASSERT_TRUE(got.ok()) << key << ": " << got.error().to_string();
+      EXPECT_EQ(util::hex_encode(got.value()), util::hex_encode(*want)) << key;
+    } else {
+      ASSERT_FALSE(got.ok()) << key;
+      EXPECT_EQ(got.error().code, util::Errc::not_found) << key;
     }
+  }
+  EXPECT_GE(deployment_->env.metrics().counter("store.digest_reads").value(),
+            1u);
+}
 
-    // One deterministic workload; returns every read outcome, encoded.
-    std::vector<std::string> run() {
-      util::Bytes all_bytes;
-      for (int i = 0; i < 256; ++i)
-        all_bytes.push_back(static_cast<std::uint8_t>(i));
-      EXPECT_TRUE(store->put("a/bin", all_bytes).ok());
-      EXPECT_TRUE(store->put("a/x", util::to_bytes("first")).ok());
-      EXPECT_TRUE(store->put("a/x", util::to_bytes("second")).ok());
-      EXPECT_TRUE(store->put("a/gone", util::to_bytes("doomed")).ok());
-      EXPECT_TRUE(store->remove("a/gone").ok());
-      // Stale-replica window: store3 misses an overwrite, then the
-      // partition heals and reads must still see the newest value.
-      auto& net = env->env.network();
-      net.set_partitioned("store3", "store1", true);
-      net.set_partitioned("store3", "store2", true);
-      net.set_partitioned("store3", "app-host", true);
-      EXPECT_TRUE(store->put("a/stale", util::to_bytes("newest")).ok());
-      net.set_partitioned("store3", "store1", false);
-      net.set_partitioned("store3", "store2", false);
-      net.set_partitioned("store3", "app-host", false);
+// Anti-entropy between replicas whose Merkle trees have different depths:
+// their bucket layouts are incompatible, so each pair must reconcile
+// through the full storeDigest exchange. Both replicas miss writes during
+// a partition; after the heal one explicit sync round each must leave both
+// holding the newest version of every key.
+TEST(StoreAntiEntropyTest, MixedMerkleDepthReplicasConverge) {
+  testenv::AceTestEnv deployment;
+  ASSERT_TRUE(deployment.start().ok());
+  auto client = deployment.make_client("app-host", "svc/app");
+  std::vector<std::unique_ptr<daemon::DaemonHost>> hosts;
+  std::vector<store::PersistentStoreDaemon*> replicas;
+  const int depths[] = {12, 8};
+  for (int i = 0; i < 2; ++i) {
+    store::StoreOptions opts;
+    opts.replication = 2;
+    opts.merkle_depth = depths[i];
+    // Park the peer monitor after its boot pass: hinted handoff and
+    // rejoin-triggered sync would otherwise heal the replicas on their
+    // own, and this test is about the explicit anti-entropy round.
+    opts.probe_interval = std::chrono::seconds(60);
+    opts.replicate_timeout = 100ms;
+    hosts.push_back(std::make_unique<daemon::DaemonHost>(
+        deployment.env, "store" + std::to_string(i + 1)));
+    daemon::DaemonConfig c;
+    c.name = "store" + std::to_string(i + 1);
+    c.room = "machine-room";
+    c.port = 6000;
+    replicas.push_back(&hosts.back()->add_daemon<store::PersistentStoreDaemon>(
+        c, i + 1, opts));
+  }
+  replicas[0]->set_peers({replicas[1]->address()});
+  replicas[1]->set_peers({replicas[0]->address()});
+  for (auto* r : replicas) ASSERT_TRUE(r->start().ok());
 
-      std::vector<std::string> results;
-      for (const std::string key : {"a/bin", "a/x", "a/gone", "a/stale",
-                                    "a/never-written"}) {
-        auto got = store->get(key);
-        results.push_back(got.ok() ? "ok:" + util::hex_encode(got.value())
-                                   : "err:" + got.error().message);
-      }
-      return results;
-    }
+  // Both boot passes have asked the other side for its tree root.
+  auto& metrics = deployment.env.metrics();
+  for (int i = 0; i < 500 && metrics.counter("store.sync_tree_rpcs").value() < 2;
+       ++i)
+    std::this_thread::sleep_for(10ms);
+  ASSERT_GE(metrics.counter("store.sync_tree_rpcs").value(), 2u);
 
-    std::unique_ptr<testenv::AceTestEnv> env;
-    std::unique_ptr<daemon::AceClient> client;
-    std::vector<std::unique_ptr<daemon::DaemonHost>> hosts;
-    std::vector<store::PersistentStoreDaemon*> replicas;
-    std::vector<net::Address> addresses;
-    std::unique_ptr<store::StoreClient> store;
+  // Acked version per key, as each coordinator reported it.
+  std::map<std::string, std::int64_t> acked;
+  auto put = [&](int via, const std::string& key, const std::string& text) {
+    CmdLine cmd("storePut");
+    cmd.arg("key", key);
+    cmd.arg("data", util::hex_encode(util::to_bytes(text)));
+    auto reply = client->call(replicas[via]->address(), cmd);
+    ASSERT_TRUE(reply.ok() && cmdlang::is_ok(reply.value())) << key;
+    acked[key] = reply->get_integer("version");
+  };
+  auto remove = [&](int via, const std::string& key) {
+    CmdLine cmd("storeDelete");
+    cmd.arg("key", key);
+    auto reply = client->call(replicas[via]->address(), cmd);
+    ASSERT_TRUE(reply.ok() && cmdlang::is_ok(reply.value())) << key;
+    acked[key] = reply->get_integer("version");
   };
 
-  MiniCluster with_digests(true);
-  MiniCluster without_digests(false);
-  const auto digest_results = with_digests.run();
-  const auto serial_results = without_digests.run();
-  EXPECT_EQ(digest_results, serial_results);
-  EXPECT_GE(
-      with_digests.env->env.metrics().counter("store.digest_reads").value(),
-      1u);
-  EXPECT_EQ(without_digests.env->env.metrics()
-                .counter("store.digest_reads")
-                .value(),
-            0u);
+  put(0, "mix/shared", "before");
+  put(0, "mix/doomed", "soon gone");
+  for (auto* r : replicas) {
+    ASSERT_TRUE(r->object("mix/shared").has_value());
+    ASSERT_TRUE(r->object("mix/doomed").has_value());
+  }
+
+  // Partition: each side takes writes the other misses.
+  auto& net = deployment.env.network();
+  net.set_partitioned("store1", "store2", true);
+  put(0, "mix/shared", "after");
+  put(0, "mix/only1", "from store1");
+  remove(0, "mix/doomed");
+  put(1, "mix/only2", "from store2");
+  EXPECT_FALSE(replicas[1]->object("mix/only1").has_value());
+  EXPECT_LT(replicas[1]->object("mix/shared")->version,
+            static_cast<std::uint64_t>(acked["mix/shared"]));
+  EXPECT_FALSE(replicas[0]->object("mix/only2").has_value());
+  net.set_partitioned("store1", "store2", false);
+  // Let the control clients' circuit breakers (opened by the failed
+  // replication attempts) cool down before the sync round.
+  std::this_thread::sleep_for(400ms);
+
+  auto fetched_by_2 = replicas[1]->sync_from_peers();
+  auto fetched_by_1 = replicas[0]->sync_from_peers();
+  ASSERT_TRUE(fetched_by_2.ok());
+  ASSERT_TRUE(fetched_by_1.ok());
+  EXPECT_GE(fetched_by_2.value(), 3);  // shared, only1, doomed's tombstone
+  EXPECT_GE(fetched_by_1.value(), 1);  // only2
+
+  const std::map<std::string, std::optional<std::string>> newest = {
+      {"mix/shared", "after"},
+      {"mix/only1", "from store1"},
+      {"mix/only2", "from store2"},
+      {"mix/doomed", std::nullopt}};
+  for (const auto& [key, want] : newest) {
+    for (int r = 0; r < 2; ++r) {
+      auto obj = replicas[r]->object(key);
+      ASSERT_TRUE(obj.has_value()) << key << " missing on store" << r + 1;
+      EXPECT_EQ(obj->version, static_cast<std::uint64_t>(acked[key]))
+          << key << " on store" << r + 1;
+      EXPECT_EQ(obj->deleted, !want.has_value()) << key << " on store" << r + 1;
+      if (want) {
+        EXPECT_EQ(util::to_string(obj->data), *want)
+            << key << " on store" << r + 1;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- durability
@@ -933,9 +1003,6 @@ TEST(StoreOptionsValidationTest, RejectsContradictoryConfigs) {
   bad = {};
   bad.scan_limit = 512;
   bad.scan_limit_max = 256;  // default page larger than the allowed max
-  expect_invalid(bad);
-  bad = {};
-  bad.list_max_keys = 0;
   expect_invalid(bad);
 }
 
