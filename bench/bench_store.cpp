@@ -136,7 +136,7 @@ ResyncResult run_resync(int total_objects, int divergent,
 
   // Fixed divergence: replica 3 misses `divergent` writes, then resyncs.
   // fail() crashes the daemon too, so the resync below is the only
-  // anti-entropy running — no monitor thread races the measurement.
+  // anti-entropy running — no monitor round races the measurement.
   c.hosts[2]->fail();
   for (int i = 0; i < divergent; ++i)
     (void)store.put("miss/" + std::to_string(i), payload);

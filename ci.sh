@@ -4,10 +4,11 @@
 #      plus bench-smoke, doc-lint and the perfbench selftest + smoke run
 #   2. ThreadSanitizer — shakes out data races in the reactor actor
 #      structure (frame pumps, async handshakes, channel actors, client
-#      demux, timer chains; see docs/net.md),
+#      demux, timer loops; see docs/net.md),
 #      plus a chaos seed sweep: the fault-injection tests replayed under
 #      several ACE_CHAOS_SEED values so each CI run exercises distinct
-#      crash/partition interleavings under the race detector
+#      crash/partition interleavings under the race detector, and the
+#      media, store read-path and timer-loop lifetime sweeps
 #   3. AddressSanitizer — lifetime bugs on the crash/restart paths the chaos
 #      engine drives (daemon teardown, channel close, queue reopen),
 #      plus a fixed-seed disk-fault sweep: the durable-store suite (power
@@ -29,6 +30,27 @@ run_config() {
   cmake --build "${build_dir}" -j "${JOBS}"
   echo "=== ${name}: ctest ==="
   (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}")
+}
+
+# Runs a gtest binary on --gtest_filter=<filter> (extra arguments follow),
+# after checking that every colon-separated pattern of the filter selects
+# at least one test. googletest 1.12 runs 0 tests and passes when a
+# pattern matches nothing, so without this check a renamed or deleted test
+# would silently drop out of its sweep.
+gtest_sweep() {
+  local binary="$1" filter="$2" pattern count
+  shift 2
+  local -a patterns
+  IFS=':' read -ra patterns <<< "${filter}"
+  for pattern in "${patterns[@]}"; do
+    count="$("${binary}" --gtest_list_tests --gtest_filter="${pattern}" |
+      grep -c '^  ' || true)"
+    if [[ "${count}" -eq 0 ]]; then
+      echo "sweep: pattern '${pattern}' selects no test in ${binary}" >&2
+      return 1
+    fi
+  done
+  "${binary}" --gtest_filter="${filter}" "$@"
 }
 
 # Runs each bench at its smallest scale and validates the exported metrics
@@ -160,10 +182,10 @@ doc_lint() {
 media_race_sweep() {
   local build_dir="$1"
   echo "=== media data-plane sweep under ThreadSanitizer ==="
-  "${build_dir}/tests/test_media" --gtest_repeat=3 \
-    --gtest_filter='FrameRouterTest.*:AudioPipelineTest.*'
-  "${build_dir}/tests/test_services" --gtest_repeat=3 \
-    --gtest_filter='ServicesTest.Converter*:ServicesTest.Distribution*'
+  gtest_sweep "${build_dir}/tests/test_media" \
+    'FrameRouterTest.*:AudioPipelineTest.*' --gtest_repeat=3
+  gtest_sweep "${build_dir}/tests/test_services" \
+    'ServicesTest.Converter*:ServicesTest.Distribution*' --gtest_repeat=3
 }
 
 # Builds and runs the end-to-end benchmark (perfbench/, declared by
@@ -188,7 +210,7 @@ chaos_seed_sweep() {
   for seed in 1 7 42; do
     echo "=== chaos seed sweep: ACE_CHAOS_SEED=${seed} ==="
     ACE_CHAOS_SEED="${seed}" \
-      "${build_dir}/tests/test_failures" --gtest_filter='Chaos*'
+      gtest_sweep "${build_dir}/tests/test_failures" 'Chaos*'
   done
 }
 
@@ -199,13 +221,33 @@ chaos_seed_sweep() {
 read_path_race_sweep() {
   local build_dir="$1"
   echo "=== store read-path sweep under ThreadSanitizer ==="
-  "${build_dir}/tests/test_store" --gtest_repeat=3 --gtest_filter=\
+  gtest_sweep "${build_dir}/tests/test_store" \
 'QuorumStoreTest.DigestReadRepairConvergesStaleReplica:'\
 'QuorumStoreTest.ReadQuorumUnavailableIsSurfaced:'\
 'QuorumStoreTest.DigestReadsMatchAckedValuesAcrossStaleWindow:'\
-'ShardedStoreTest.Scan*'
-  ACE_CHAOS_SEED=42 "${build_dir}/tests/test_store" \
-    --gtest_filter='QuorumStoreTest.ChaosQuorumTortureNeverLosesAckedWrites'
+'ShardedStoreTest.Scan*' --gtest_repeat=3
+  ACE_CHAOS_SEED=42 gtest_sweep "${build_dir}/tests/test_store" \
+    'QuorumStoreTest.ChaosQuorumTortureNeverLosesAckedWrites'
+}
+
+# Shutdown of every background duty waits on reactor tasks rather than
+# thread joins (net::TimerLoop ticks, replication flush tasks), which is
+# exactly where lifetime races live. Replay the timer-loop and TaskGuard
+# unit tests, the loop owners' prompt stop, and the durable store's restart cases (each
+# restart stops and re-arms the monitor and swaps the batcher) under TSan.
+timer_loop_race_sweep() {
+  local build_dir="$1"
+  echo "=== timer-loop lifetime sweep under ThreadSanitizer ==="
+  gtest_sweep "${build_dir}/tests/test_reactor" \
+    'TimerLoop.*:Reactor.TaskGuard*' --gtest_repeat=3
+  gtest_sweep "${build_dir}/tests/test_asd_scale" \
+    'AllLoops/LoopOwnerStopTest.*' --gtest_repeat=2
+  ACE_CHAOS_SEED=3 gtest_sweep "${build_dir}/tests/test_store" \
+'DurableStoreTest.AckedWritesSurviveClusterWidePowerLoss:'\
+'DurableStoreTest.TornWalTailIsDetectedDroppedAndRepaired:'\
+'DurableStoreTest.CorruptSnapshotFallsBackAGeneration:'\
+'DurableStoreTest.HintsSurviveCoordinatorPowerLoss:'\
+'DurableStoreTest.ChaosPowerCycleTortureNeverLosesAckedWrites'
 }
 
 # Replays the durable-store suite — power cycles, torn WAL tails, lying
@@ -218,7 +260,7 @@ disk_fault_sweep() {
   for seed in 3 11 1337; do
     echo "=== disk-fault chaos sweep: ACE_CHAOS_SEED=${seed} ==="
     ACE_CHAOS_SEED="${seed}" \
-      "${build_dir}/tests/test_store" --gtest_filter='DurableStoreTest.*'
+      gtest_sweep "${build_dir}/tests/test_store" 'DurableStoreTest.*'
   done
   "${build_dir}/tests/test_io"
 }
@@ -237,6 +279,7 @@ case "${want}" in
     chaos_seed_sweep build-tsan
     media_race_sweep build-tsan
     read_path_race_sweep build-tsan
+    timer_loop_race_sweep build-tsan
     ;;&
   asan|all)
     run_config "asan" build-asan -DACE_SANITIZE=address

@@ -279,7 +279,9 @@ Schedule generate_schedule(std::uint64_t seed, const ScheduleParams& params,
 }
 
 ChaosEngine::ChaosEngine(daemon::Environment& env, Schedule schedule)
-    : env_(env), schedule_(std::move(schedule)) {
+    : env_(env),
+      schedule_(std::move(schedule)),
+      injector_(env.reactor(), [this] { return inject(); }) {
   auto& m = env_.metrics();
   obs_events_ = &m.counter("chaos.events");
   obs_crashes_ = &m.counter("chaos.service_crashes");
@@ -304,20 +306,31 @@ void ChaosEngine::add_disk(const std::string& name, io::SimDisk* disk) {
 }
 
 void ChaosEngine::start() {
-  if (injector_.joinable()) return;
+  if (injector_.active()) return;
   done_.store(false);
-  injector_ = std::jthread([this](std::stop_token st) { run(st); });
+  started_at_ = steady_clock::now();
+  next_event_ = 0;
+  injector_.start(schedule_.events.empty() ? milliseconds(0)
+                                           : schedule_.events.front().at);
 }
 
 void ChaosEngine::join() {
-  if (injector_.joinable()) injector_.join();
+  // Timed: a loop that could not arm (reactor stopping) ends without a
+  // final tick to notify.
+  std::unique_lock lock(mu_);
+  while (!finished_cv_.wait_for(lock, milliseconds(50), [this] {
+    return done_ || !injector_.active();
+  })) {
+  }
 }
 
 void ChaosEngine::stop() {
-  if (injector_.joinable()) {
-    injector_.request_stop();
-    injector_.join();
+  injector_.stop();
+  {
+    std::scoped_lock lock(mu_);
+    done_.store(true);
   }
+  finished_cv_.notify_all();
 }
 
 std::vector<ChaosEngine::AppliedEvent> ChaosEngine::log() const {
@@ -325,27 +338,28 @@ std::vector<ChaosEngine::AppliedEvent> ChaosEngine::log() const {
   return log_;
 }
 
-void ChaosEngine::run(std::stop_token st) {
-  const auto start = steady_clock::now();
-  for (const auto& event : schedule_.events) {
-    const auto due = start + event.at;
-    while (!st.stop_requested()) {
-      auto now = steady_clock::now();
-      if (now >= due) break;
-      std::this_thread::sleep_for(
-          std::min<steady_clock::duration>(due - now, milliseconds(10)));
-    }
-    if (st.stop_requested()) break;
-
+std::optional<net::Reactor::Clock::duration> ChaosEngine::inject() {
+  const auto& events = schedule_.events;
+  while (next_event_ < events.size() &&
+         started_at_ + events[next_event_].at <= steady_clock::now()) {
+    if (!injector_.active()) return std::nullopt;  // stop() is waiting
     AppliedEvent record;
-    record.event = event;
-    apply(event, record);
+    record.event = events[next_event_++];
+    apply(record.event, record);
     record.applied_at = std::chrono::duration_cast<milliseconds>(
-        steady_clock::now() - start);
+        steady_clock::now() - started_at_);
     std::scoped_lock lock(mu_);
     log_.push_back(std::move(record));
   }
-  done_.store(true);
+  if (next_event_ == events.size()) {
+    {
+      std::scoped_lock lock(mu_);
+      done_.store(true);
+    }
+    finished_cv_.notify_all();
+    return std::nullopt;
+  }
+  return started_at_ + events[next_event_].at - steady_clock::now();
 }
 
 void ChaosEngine::set_partition(const std::string& a, const std::string& b,

@@ -25,11 +25,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "daemon/daemon.hpp"
@@ -181,7 +182,7 @@ class ChaosEngine {
   // loses (or tears, if armed) its un-fsynced tails.
   void add_disk(const std::string& name, io::SimDisk* disk);
 
-  void start();          // spawns the injector thread
+  void start();          // arms the injector (a reactor timer loop)
   void join();           // blocks until the schedule has fully run
   void stop();           // aborts early (already-applied faults stay)
   bool done() const { return done_.load(); }
@@ -190,7 +191,9 @@ class ChaosEngine {
   std::vector<AppliedEvent> log() const;
 
  private:
-  void run(std::stop_token st);
+  // One injector tick: applies every event now due, then returns the time
+  // until the next one (nullopt once the schedule is exhausted).
+  std::optional<net::Reactor::Clock::duration> inject();
   void apply(const FaultEvent& event, AppliedEvent& out);
   void set_partition(const std::string& a, const std::string& b, bool down);
 
@@ -202,10 +205,14 @@ class ChaosEngine {
   // restored by their heal events.
   std::map<std::string, net::LinkPolicy> saved_links_;
 
+  // Injector progress, touched only by ticks and by start() while idle.
+  std::chrono::steady_clock::time_point started_at_{};
+  std::size_t next_event_ = 0;
+
   mutable std::mutex mu_;
+  std::condition_variable finished_cv_;  // join(): done_ set under mu_
   std::vector<AppliedEvent> log_;
   std::atomic<bool> done_{false};
-  std::jthread injector_;
 
   // Cached obs cells (deployment registry, `chaos.*` names).
   obs::Counter* obs_events_;
@@ -217,6 +224,9 @@ class ChaosEngine {
   obs::Counter* obs_disk_faults_;
   obs::Counter* obs_room_partitions_;
   obs::Gauge* obs_active_faults_;
+
+  // Last member: stopped before anything the tick reads dies.
+  net::TimerLoop injector_;
 };
 
 // Reads the chaos seed for tests/benches: ACE_CHAOS_SEED when set (so CI

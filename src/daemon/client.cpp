@@ -47,35 +47,27 @@ AceClient::AceClient(Environment& env, net::Host& from_host,
       breaker_rejected_(&env.metrics().counter("client.breaker_rejected")),
       breaker_closes_(&env.metrics().counter("client.breaker_closes")),
       inflight_(&env.metrics().gauge("client.inflight")),
-      breaker_open_(&env.metrics().gauge("client.breaker_open")) {}
+      breaker_open_(&env.metrics().gauge("client.breaker_open")),
+      sweeper_(env.reactor(), [this] { return sweep_idle_channels(); }) {}
 
 AceClient::~AceClient() {
-  // Unarm the idle sweeper first: its tasks capture `this` raw, so revoke
-  // waits out any sweep already running before members start dying.
-  net::Reactor::TimerId timer;
-  {
-    std::scoped_lock lock(policy_mu_);
-    timer = std::exchange(sweep_timer_, 0);
-  }
-  if (timer) env_.reactor().cancel(timer);
-  sweep_guard_.revoke();
+  // Stop the idle sweeper first: it waits out a sweep already running
+  // before members start dying.
+  sweeper_.stop();
   close_all();
 }
 
 void AceClient::set_policy(ClientPolicy policy) {
-  std::scoped_lock lock(policy_mu_);
-  const bool was_armed = policy_.idle_channel_ttl.count() > 0;
-  policy_ = policy;
-  const bool arm = policy.idle_channel_ttl.count() > 0;
-  if (arm && sweep_timer_ == 0) {
-    sweep_timer_ = env_.reactor().post_after(
-        policy.idle_channel_ttl,
-        sweep_guard_.wrap([this] { sweep_idle_channels(); }),
-        /*blocking=*/true);
-  } else if (!arm && was_armed) {
-    auto timer = std::exchange(sweep_timer_, 0);
-    if (timer) env_.reactor().cancel(timer);
+  bool was_armed;
+  {
+    std::scoped_lock lock(policy_mu_);
+    was_armed = policy_.idle_channel_ttl.count() > 0;
+    policy_ = policy;
   }
+  // Outside policy_mu_, which a running sweep reads. Disarming needs no
+  // stop(): the next sweep finds the TTL off and ends the loop.
+  if (policy.idle_channel_ttl.count() > 0 && !was_armed)
+    sweeper_.start(policy.idle_channel_ttl);
 }
 
 ClientPolicy AceClient::policy() const {
@@ -83,9 +75,9 @@ ClientPolicy AceClient::policy() const {
   return policy_;
 }
 
-void AceClient::sweep_idle_channels() {
+std::optional<net::Reactor::Clock::duration> AceClient::sweep_idle_channels() {
   const auto ttl = policy().idle_channel_ttl;
-  if (ttl.count() <= 0) return;  // policy changed under the timer
+  if (ttl.count() <= 0) return std::nullopt;  // policy changed under the timer
   const auto now = std::chrono::steady_clock::now();
   std::vector<std::pair<net::Address, std::shared_ptr<ChannelEntry>>> stale;
   {
@@ -108,16 +100,9 @@ void AceClient::sweep_idle_channels() {
   for (auto& [addr, entry] : stale) shutdown_entry(entry);
   if (!stale.empty())
     env_.metrics().counter("client.idle_closed").inc(stale.size());
-  // Re-arm (repeating chain). Checked against a concurrent set_policy
-  // disarm: only re-arm while a timer id is expected to be live.
-  std::scoped_lock lock(policy_mu_);
-  if (policy_.idle_channel_ttl.count() > 0)
-    sweep_timer_ = env_.reactor().post_after(
-        policy_.idle_channel_ttl,
-        sweep_guard_.wrap([this] { sweep_idle_channels(); }),
-        /*blocking=*/true);
-  else
-    sweep_timer_ = 0;
+  const auto next = policy().idle_channel_ttl;
+  if (next.count() <= 0) return std::nullopt;
+  return next;
 }
 
 std::shared_ptr<AceClient::ChannelEntry> AceClient::entry_for(

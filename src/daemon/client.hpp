@@ -119,8 +119,9 @@ class AceClient {
   void close_all();
 
   // Replaces the whole client policy atomically. Thread-safe; affects
-  // channels opened and retries begun after the call. Arms (or disarms)
-  // the idle-channel sweeper when idle_channel_ttl changes.
+  // channels opened and retries begun after the call. Arms the
+  // idle-channel sweeper when idle_channel_ttl turns on; turned off, the
+  // sweeper ends at its next tick without sweeping.
   void set_policy(ClientPolicy policy);
   ClientPolicy policy() const;
 
@@ -178,10 +179,10 @@ class AceClient {
   void handle_reply(const std::shared_ptr<ChannelEntry>& entry,
                     const std::shared_ptr<crypto::SecureChannel>& channel,
                     std::optional<net::Frame> frame);
-  // Idle-channel sweeper (policy().idle_channel_ttl > 0): a repeating
-  // reactor timer that shuts down destinations with no traffic and no
-  // calls in flight.
-  void sweep_idle_channels();
+  // Idle-channel sweeper tick (policy().idle_channel_ttl > 0): shuts down
+  // destinations with no traffic and no calls in flight; returns the TTL
+  // until the next sweep, or nullopt once the policy disarmed it.
+  std::optional<net::Reactor::Clock::duration> sweep_idle_channels();
   // Breaker hooks around one call attempt. admit fails fast with
   // Errc::unavailable while the destination's breaker is open (setting
   // `probe` when this attempt is the half-open probe); record_failure
@@ -206,11 +207,6 @@ class AceClient {
   crypto::Identity identity_;
   mutable std::mutex policy_mu_;
   ClientPolicy policy_;
-  // Idle-sweeper timer chain state (guarded by policy_mu_). The TaskGuard
-  // revokes in-flight sweep tasks at destruction, since they capture
-  // `this` raw.
-  net::TaskGuard sweep_guard_;
-  net::Reactor::TimerId sweep_timer_ = 0;
   std::mutex mu_;
   std::map<net::Address, std::shared_ptr<ChannelEntry>> channels_;
   std::mutex jitter_mu_;
@@ -227,6 +223,10 @@ class AceClient {
   obs::Counter* breaker_closes_;
   obs::Gauge* inflight_;
   obs::Gauge* breaker_open_;  // destinations currently open
+
+  // Idle-channel sweeper, armed by set_policy (last member: stopped before
+  // anything a sweep touches dies).
+  net::TimerLoop sweeper_;
 };
 
 }  // namespace ace::daemon

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,8 +67,10 @@ class Environment {
     return channel_options_;
   }
 
-  // Issues an identity certificate for a daemon or client.
+  // Issues an identity certificate for a daemon or client. Thread-safe:
+  // daemons restarted on reactor workers issue while callers do too.
   crypto::Identity issue_identity(const std::string& subject) {
+    std::scoped_lock lock(rng_mu_);
     return ca_.issue(subject);
   }
 
@@ -79,7 +82,10 @@ class Environment {
 
   std::chrono::milliseconds default_timeout{2000};
 
-  std::uint64_t next_seed() { return seed_rng_.next(); }
+  std::uint64_t next_seed() {
+    std::scoped_lock lock(rng_mu_);
+    return seed_rng_.next();
+  }
 
  private:
   obs::MetricsRegistry metrics_;  // must outlive (so precede) network_
@@ -91,6 +97,7 @@ class Environment {
   keynote::KeyStore keys_;
   std::vector<keynote::Assertion> policies_;
   crypto::ChannelOptions channel_options_;
+  std::mutex rng_mu_;  // guards ca_'s issuing state and seed_rng_
   util::Rng seed_rng_;
 };
 

@@ -20,17 +20,11 @@ LeaseCoordinator::LeaseCoordinator(Environment& env, DaemonHost& host)
           env, host.net_host(), env.issue_identity("lease/" + host.name()))),
       obs_batches_(&env.metrics().counter("daemon.lease.batches")),
       obs_renewed_(&env.metrics().counter("daemon.lease.renewed")),
-      obs_lost_(&env.metrics().counter("daemon.lease.lost")) {}
+      obs_lost_(&env.metrics().counter("daemon.lease.lost")),
+      loop_(env.reactor(), [this] { return tick(); }) {}
 
 LeaseCoordinator::~LeaseCoordinator() {
-  net::Reactor::TimerId timer = 0;
-  {
-    std::scoped_lock lock(mu_);
-    ++tick_gen_;  // any tick already dispatched becomes a no-op
-    timer = std::exchange(timer_, 0);
-  }
-  if (timer != 0) env_.reactor().cancel(timer);
-  guard_.revoke();  // waits out a tick running right now
+  loop_.stop();  // waits out a tick running right now
   client_->close_all();
 }
 
@@ -42,18 +36,14 @@ std::chrono::milliseconds LeaseCoordinator::interval_locked() const {
 }
 
 void LeaseCoordinator::enroll(ServiceDaemon& daemon) {
-  std::scoped_lock lock(mu_);
-  const bool was_empty = enrolled_.empty();
-  enrolled_[daemon.config().name] = &daemon;
-  if (timer_ != 0) {
-    // Re-arm so a tighter lease_renew takes effect immediately.
-    env_.reactor().cancel(std::exchange(timer_, 0));
-    arm_locked();
-  } else if (was_empty) {
-    arm_locked();
+  std::chrono::milliseconds interval;
+  {
+    std::scoped_lock lock(mu_);
+    enrolled_[daemon.config().name] = &daemon;
+    interval = interval_locked();
   }
-  // timer_ == 0 with a non-empty roster means a tick is mid-flight; it
-  // re-arms itself with the updated roster when it finishes.
+  // (Re)arm so a tighter lease_renew takes effect immediately.
+  loop_.start(interval);
 }
 
 void LeaseCoordinator::withdraw(const std::string& name) {
@@ -69,26 +59,14 @@ std::size_t LeaseCoordinator::enrolled_count() const {
   return enrolled_.size();
 }
 
-void LeaseCoordinator::arm_locked() {
-  const std::uint64_t gen = ++tick_gen_;
-  timer_ = env_.reactor().post_after(
-      interval_locked(), guard_.wrap([this, gen] { run_tick(gen); }),
-      /*blocking=*/true);
-}
-
-void LeaseCoordinator::run_tick(std::uint64_t gen) {
-  {
-    std::scoped_lock lock(mu_);
-    if (gen != tick_gen_) return;  // superseded by enroll() or destruction
-    timer_ = 0;  // mid-flight: enroll() must not cancel/re-arm under us
-  }
-  tick();
+std::optional<net::Reactor::Clock::duration> LeaseCoordinator::tick() {
+  renew();
   std::scoped_lock lock(mu_);
-  if (gen != tick_gen_) return;
-  if (!enrolled_.empty()) arm_locked();
+  if (enrolled_.empty()) return std::nullopt;  // the next enroll re-arms
+  return interval_locked();
 }
 
-void LeaseCoordinator::tick() {
+void LeaseCoordinator::renew() {
   std::scoped_lock tick_lock(tick_mu_);
   std::vector<std::string> names;
   std::vector<ServiceDaemon*> daemons;

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "daemon/client.hpp"
@@ -39,8 +40,8 @@ class LeaseCoordinator {
   LeaseCoordinator& operator=(const LeaseCoordinator&) = delete;
 
   // Adds `daemon` to the renewal batch. The renewal interval tightens to
-  // the smallest lease_renew among enrolled daemons. Arms the timer chain
-  // on first enrollment.
+  // the smallest lease_renew among enrolled daemons; enrolling (re)arms
+  // the next tick one interval from now.
   void enroll(ServiceDaemon& daemon);
 
   // Removes `name` from the batch. Blocks until any in-flight tick has
@@ -51,15 +52,11 @@ class LeaseCoordinator {
   std::size_t enrolled_count() const;
 
  private:
-  // Arms the next tick at interval_locked() from now, bumping the chain
-  // generation so any superseded pending tick becomes a no-op. Caller
-  // holds mu_.
-  void arm_locked();
-  // The timer task: one tick, then re-arm (if the roster is non-empty and
-  // this chain generation is still current). Runs on the reactor ops pool
-  // — the batched RPC blocks.
-  void run_tick(std::uint64_t gen);
-  void tick();
+  // One renewal round on the reactor ops pool (the batched RPC blocks);
+  // returns the next interval, read after the round so a daemon enrolled
+  // meanwhile counts, or nullopt once the roster is empty.
+  std::optional<net::Reactor::Clock::duration> tick();
+  void renew();
   std::chrono::milliseconds interval_locked() const;
 
   Environment& env_;
@@ -70,19 +67,16 @@ class LeaseCoordinator {
   obs::Counter* obs_renewed_;   // daemon.lease.renewed
   obs::Counter* obs_lost_;      // daemon.lease.lost
 
-  // mu_ guards the roster and timer-chain state; tick_mu_ is held across a
-  // whole tick (RPC + lost-lease callbacks). Lock order: tick_mu_ before
-  // mu_. withdraw() takes both so it cannot interleave with a tick that
-  // might still call into the withdrawing daemon.
+  // mu_ guards the roster; tick_mu_ is held across a whole renewal (RPC +
+  // lost-lease callbacks). Lock order: tick_mu_ before mu_. withdraw()
+  // takes both so it cannot interleave with a renewal that might still
+  // call into the withdrawing daemon.
   mutable std::mutex mu_;
   std::mutex tick_mu_;
   std::map<std::string, ServiceDaemon*> enrolled_;
 
-  // Repeating reactor-timer chain (guarded by mu_). guard_ revokes
-  // in-flight tick tasks at destruction — they capture `this` raw.
-  net::TaskGuard guard_;
-  net::Reactor::TimerId timer_ = 0;
-  std::uint64_t tick_gen_ = 0;
+  // Last member: stopped (waiting out a running tick) before the rest dies.
+  net::TimerLoop loop_;
 };
 
 }  // namespace ace::daemon

@@ -15,6 +15,16 @@ util::Status SimDisk::append(const std::string& name, util::BytesView data) {
   return util::Status::ok_status();
 }
 
+util::Status SimDisk::append(const std::string& name, util::Bytes&& data) {
+  std::scoped_lock lock(mu_);
+  File& f = files_[name];
+  ++stats_.appends;
+  stats_.append_bytes += data.size();
+  if (f.pending.empty()) f.pending = std::move(data);
+  else f.pending.insert(f.pending.end(), data.begin(), data.end());
+  return util::Status::ok_status();
+}
+
 util::Result<util::Bytes> SimDisk::read(const std::string& name) const {
   std::scoped_lock lock(mu_);
   auto it = files_.find(name);
@@ -58,7 +68,9 @@ util::Status SimDisk::fsync(const std::string& name) {
     return util::Status::ok_status();  // lying disk: reports ok, keeps tail
   }
   File& f = it->second;
-  f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
+  // A fresh file's durable image adopts the tail's buffer, no copy.
+  if (f.durable.empty()) f.durable.swap(f.pending);
+  else f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
   f.pending.clear();
   return util::Status::ok_status();
 }
@@ -70,7 +82,8 @@ util::Status SimDisk::rename(const std::string& from, const std::string& to) {
     return {util::Errc::not_found, "no such file: " + from};
   File f = std::move(it->second);
   // Atomic rename implies the data made it to the platter first.
-  f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
+  if (f.durable.empty()) f.durable.swap(f.pending);
+  else f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
   f.pending.clear();
   files_.erase(it);
   files_[to] = std::move(f);

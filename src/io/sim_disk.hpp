@@ -52,6 +52,9 @@ class SimDisk {
   // --- data plane ---------------------------------------------------------
   // Appends to the file's volatile tail, creating the file if absent.
   util::Status append(const std::string& name, util::BytesView data);
+  // Same, but an empty tail adopts `data`'s buffer instead of copying it
+  // (a compaction hands over a whole snapshot body).
+  util::Status append(const std::string& name, util::Bytes&& data);
   // Durable bytes + volatile tail: what a live process sees.
   util::Result<util::Bytes> read(const std::string& name) const;
   util::Result<std::size_t> size(const std::string& name) const;

@@ -1,5 +1,6 @@
 #include "net/reactor.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ace::net {
@@ -341,27 +342,113 @@ void Subscription::stop() {
 
 std::function<void()> TaskGuard::wrap(std::function<void()> fn) const {
   return [core = core_, fn = std::move(fn)] {
+    const auto self = std::this_thread::get_id();
     {
       std::scoped_lock lock(core->mu);
       if (core->revoked) return;
-      ++core->running;
-      core->tid = std::this_thread::get_id();
+      core->running.push_back(self);
     }
     fn();
     {
       std::scoped_lock lock(core->mu);
-      --core->running;
+      core->running.erase(
+          std::find(core->running.begin(), core->running.end(), self));
     }
     core->cv.notify_all();
   };
 }
 
 void TaskGuard::revoke() {
+  const auto self = std::this_thread::get_id();
   std::unique_lock lock(core_->mu);
   core_->revoked = true;
+  // Wait for every running task but the caller's own.
   core_->cv.wait(lock, [&] {
-    return core_->running == 0 || core_->tid == std::this_thread::get_id();
+    return std::all_of(core_->running.begin(), core_->running.end(),
+                       [&](std::thread::id id) { return id == self; });
   });
+}
+
+// ----------------------------------------------------------------- TimerLoop
+
+struct TimerLoop::Core {
+  Reactor* reactor = nullptr;
+  Tick tick;
+  std::mutex mu;
+  // Every armed tick is wrapped in `guard`; stop() revokes it to wait out
+  // a running tick, and the next arm outside a tick takes a fresh one.
+  TaskGuard guard;
+  bool revoked = false;
+  bool active = false;
+  bool ticking = false;
+  // A start() that landed mid-tick: the soonest delay it asked for.
+  std::optional<Reactor::Clock::duration> restart;
+  // Bumped by every arm and every stop: a fired timer runs the tick only
+  // while its own arm is still the current one.
+  std::uint64_t seq = 0;
+  Reactor::TimerId timer = 0;
+};
+
+TimerLoop::TimerLoop(Reactor& reactor, Tick tick)
+    : core_(std::make_shared<Core>()) {
+  core_->reactor = &reactor;
+  core_->tick = std::move(tick);
+}
+
+void TimerLoop::arm_locked(const std::shared_ptr<Core>& core,
+                           Reactor::Clock::duration delay) {
+  if (std::exchange(core->revoked, false)) core->guard = TaskGuard();
+  const std::uint64_t seq = ++core->seq;
+  auto fire = [core, seq] {
+    std::unique_lock lock(core->mu);
+    if (!core->active || seq != core->seq) return;  // stopped or re-armed
+    core->timer = 0;
+    core->ticking = true;
+    lock.unlock();
+    auto next = core->tick();
+    lock.lock();
+    core->ticking = false;
+    if (auto restart = std::exchange(core->restart, std::nullopt))
+      next = next ? std::min(*next, *restart) : *restart;
+    if (core->active && next)
+      arm_locked(core, *next);
+    else
+      core->active = false;
+  };
+  core->timer = core->reactor->post_after(
+      delay, core->guard.wrap(std::move(fire)), /*blocking=*/true);
+  if (core->timer == 0) core->active = false;  // reactor stopping
+}
+
+void TimerLoop::start(Reactor::Clock::duration first_delay) {
+  std::scoped_lock lock(core_->mu);
+  core_->active = true;
+  if (core_->ticking) {  // the running tick arms the next one
+    core_->restart = std::min(core_->restart.value_or(first_delay), first_delay);
+    return;
+  }
+  if (core_->timer != 0)
+    core_->reactor->cancel(std::exchange(core_->timer, 0));
+  arm_locked(core_, first_delay);
+}
+
+void TimerLoop::stop() {
+  TaskGuard guard;
+  {
+    std::scoped_lock lock(core_->mu);
+    core_->active = false;
+    core_->revoked = true;
+    ++core_->seq;  // a tick already handed to the ops pool becomes a no-op
+    if (core_->timer != 0)
+      core_->reactor->cancel(std::exchange(core_->timer, 0));
+    guard = core_->guard;
+  }
+  guard.revoke();  // waits out a running tick, unless we are inside it
+}
+
+bool TimerLoop::active() const {
+  std::scoped_lock lock(core_->mu);
+  return core_->active;
 }
 
 }  // namespace ace::net

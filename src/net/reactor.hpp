@@ -26,7 +26,10 @@
 //
 // Timers: post_after/post_at run a task later; cancel() unarms it. The
 // pumps use timers to model link latency (a frame is not readable before
-// its deliver_at), replacing the blocking path's sleep_until.
+// its deliver_at), replacing the blocking path's sleep_until. TimerLoop
+// (below) is the one repeating-timer primitive: every background duty in
+// the fabric (reaper, monitors, watchdog, sampler, lease, gossip, chaos)
+// is a TimerLoop, so the reactor's pools are the only threads there are.
 #pragma once
 
 #include <atomic>
@@ -78,8 +81,8 @@ class Subscription {
 
 // Cancellation guard for free-standing reactor tasks (timer chains that
 // capture a raw owner pointer). wrap() makes a task a no-op after revoke();
-// revoke() additionally waits for any wrapped task mid-run — except when
-// called from inside one — so the owner may be destroyed right after.
+// revoke() additionally waits for every wrapped task mid-run — but not for
+// the one it is called from — so the owner may be destroyed right after.
 class TaskGuard {
  public:
   TaskGuard() : core_(std::make_shared<Core>()) {}
@@ -92,8 +95,7 @@ class TaskGuard {
     std::mutex mu;
     std::condition_variable cv;
     bool revoked = false;
-    int running = 0;
-    std::thread::id tid{};
+    std::vector<std::thread::id> running;  // one entry per task mid-run
   };
   std::shared_ptr<Core> core_;
 };
@@ -209,6 +211,39 @@ class Reactor {
   obs::Counter* obs_timers_ = nullptr;
   obs::Counter* obs_ops_spawned_ = nullptr;
   obs::Gauge* obs_threads_ = nullptr;
+};
+
+// A repeating reactor timer: "run this later, and again, and stop it
+// safely". The tick runs on the ops pool (it may block) and returns the
+// delay until its next run, or nullopt to end the loop; ticks never
+// overlap. start() arms the first tick or re-arms a pending one; landing
+// mid-tick, it makes the loop go on after that tick, at the sooner of the
+// two delays. stop() unarms the pending tick and waits out a running one,
+// so afterwards no tick runs until the next start(); called from inside
+// the tick it returns at once and the loop ends with that tick. Never
+// call stop() while holding a lock the tick takes.
+class TimerLoop {
+ public:
+  using Tick = std::function<std::optional<Reactor::Clock::duration>()>;
+
+  TimerLoop(Reactor& reactor, Tick tick);
+  ~TimerLoop() { stop(); }
+
+  TimerLoop(const TimerLoop&) = delete;
+  TimerLoop& operator=(const TimerLoop&) = delete;
+
+  void start(Reactor::Clock::duration first_delay = {});
+  void stop();
+  // True from start() until stop() or a tick returning nullopt. Read from
+  // inside a long tick, false means stop() is waiting: cut the tick short.
+  bool active() const;
+
+ private:
+  struct Core;
+  static void arm_locked(const std::shared_ptr<Core>& core,
+                         Reactor::Clock::duration delay);
+
+  std::shared_ptr<Core> core_;
 };
 
 namespace detail {

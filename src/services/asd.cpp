@@ -56,7 +56,8 @@ AsdDaemon::AsdDaemon(daemon::Environment& env, daemon::DaemonHost& host,
       obs_forward_cache_misses_(
           &env.metrics().counter("asd.forward_cache_misses")),
       obs_live_count_(&env.metrics().gauge("asd.live_count")),
-      index_(AsdIndexObs{obs_index_hits_, obs_scans_, obs_live_count_}) {
+      index_(AsdIndexObs{obs_index_hits_, obs_scans_, obs_live_count_}),
+      reaper_(env.reactor(), [this] { return reap(); }) {
   if (options_.federation.enabled) {
     gossip_ = std::make_unique<GossipAgent>(env, ServiceDaemon::config().room,
                                             options_.federation);
@@ -430,7 +431,7 @@ std::vector<std::string> AsdDaemon::forward_query(
 }
 
 util::Status AsdDaemon::on_start() {
-  reaper_ = std::jthread([this](std::stop_token st) { reaper_loop(st); });
+  reaper_.start(options_.reap_interval);
   if (gossip_) {
     auto client = std::make_shared<daemon::AceClient>(
         env(), host().net_host(), identity());
@@ -452,7 +453,7 @@ void AsdDaemon::on_stop() {
     forward_cache_.clear();
   }
   if (client) client->close_all();
-  reaper_ = {};
+  reaper_.stop();
 }
 
 void AsdDaemon::on_crash() {
@@ -464,32 +465,25 @@ void AsdDaemon::on_crash() {
     forward_cache_.clear();
   }
   if (client) client->close_all();
-  reaper_ = {};
+  reaper_.stop();
   index_.clear();
 }
 
-void AsdDaemon::reaper_loop(std::stop_token st) {
-  std::unique_lock lock(reaper_mu_);
-  while (!st.stop_requested()) {
-    // Interruptible wait: the jthread's stop request wakes this
-    // immediately, so shutdown never stalls for a whole reap interval.
-    reaper_cv_.wait_for(lock, st, options_.reap_interval,
-                        [] { return false; });
-    if (st.stop_requested()) return;
-    // O(k log n): pops only the due entries off the expiry heap instead of
-    // sweeping the registry.
-    auto expired = index_.collect_expired(std::chrono::steady_clock::now());
-    for (const Registration& r : expired) {
-      CmdLine event("serviceExpired");
-      event.arg("name", Word{r.name});
-      event.arg("class", r.service_class);
-      event.arg("host", r.host + ":" + std::to_string(r.port));
-      // Runs the registered handler (removes the entry if still expired)
-      // and fires any `serviceExpired` notifications.
-      (void)execute(event, CallerInfo{"svc/" + config().name, address()});
-      net_log("warn", "lease expired for service '" + r.name + "'");
-    }
+std::optional<net::Reactor::Clock::duration> AsdDaemon::reap() {
+  // O(k log n): pops only the due entries off the expiry heap instead of
+  // sweeping the registry.
+  auto expired = index_.collect_expired(std::chrono::steady_clock::now());
+  for (const Registration& r : expired) {
+    CmdLine event("serviceExpired");
+    event.arg("name", Word{r.name});
+    event.arg("class", r.service_class);
+    event.arg("host", r.host + ":" + std::to_string(r.port));
+    // Runs the registered handler (removes the entry if still expired)
+    // and fires any `serviceExpired` notifications.
+    (void)execute(event, CallerInfo{"svc/" + config().name, address()});
+    net_log("warn", "lease expired for service '" + r.name + "'");
   }
+  return options_.reap_interval;
 }
 
 // ----------------------------------------------------------------- client

@@ -28,10 +28,8 @@
 // behind registrations.
 #pragma once
 
-#include <condition_variable>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -80,7 +78,8 @@ class AsdDaemon : public daemon::ServiceDaemon {
   void on_crash() override;
 
  private:
-  void reaper_loop(std::stop_token st);
+  // One reaper tick: expires every lease past due (serviceExpired).
+  std::optional<net::Reactor::Clock::duration> reap();
   static std::string encode_entry(const Registration& r);
 
   // Cross-room fan-out for one query (federation enabled, scope != local):
@@ -133,12 +132,9 @@ class AsdDaemon : public daemon::ServiceDaemon {
   std::mutex forward_mu_;
   std::unordered_map<std::string, ForwardCacheEntry> forward_cache_;
 
-  // The reaper waits on this cv with its stop token (instead of a blind
-  // sleep_for), so on_stop() interrupts a pending reap interval instead of
-  // blocking until it elapses.
-  std::mutex reaper_mu_;
-  std::condition_variable_any reaper_cv_;
-  std::jthread reaper_;
+  // Reaper: a reactor timer loop every reap_interval, started by on_start
+  // and stopped (without waiting out the interval) by on_stop/on_crash.
+  net::TimerLoop reaper_;
 };
 
 // A service's location as reported by the directory.

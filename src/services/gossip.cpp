@@ -65,12 +65,18 @@ GossipAgent::GossipAgent(daemon::Environment& env, std::string self_room,
       obs_suspicions_(&env.metrics().counter("asd.gossip_suspicions")),
       obs_evictions_(&env.metrics().counter("asd.gossip_evictions")),
       obs_live_rooms_(&env.metrics().gauge("asd.gossip_live_rooms")),
-      rng_(env.next_seed()) {}
+      rng_(env.next_seed()),
+      loop_(env.reactor(),
+            [this]() -> std::optional<net::Reactor::Clock::duration> {
+              round();
+              return options_.gossip_interval;
+            }) {}
 
 GossipAgent::~GossipAgent() { stop(); }
 
 void GossipAgent::start(net::Address self_address,
                         std::shared_ptr<daemon::AceClient> client) {
+  loop_.stop();  // restarted without stop(): end the old life's rounds first
   std::scoped_lock lock(mu_);
   client_ = std::move(client);
   // New incarnation: whatever peers cached from the previous life is dead.
@@ -92,26 +98,14 @@ void GossipAgent::start(net::Address self_address,
     members_.emplace(seed.room, std::move(m));
   }
   obs_live_rooms_->set(static_cast<std::int64_t>(members_.size() + 1));
-  // Revocation is permanent on a TaskGuard's shared core, so each
-  // incarnation gets a fresh guard (the previous one was revoked by
-  // stop(); reusing it would silently disarm every future round).
-  guard_ = net::TaskGuard{};
-  arm_locked();
+  loop_.start(options_.gossip_interval);
 }
 
 void GossipAgent::stop() {
-  net::Reactor::TimerId timer = 0;
+  loop_.stop();  // waits out a round running right now
   std::shared_ptr<daemon::AceClient> client;
-  net::TaskGuard guard;
-  {
-    std::scoped_lock lock(mu_);
-    ++tick_gen_;  // a round already dispatched becomes a no-op
-    timer = std::exchange(timer_, 0);
-    client = std::move(client_);
-    guard = guard_;
-  }
-  if (timer != 0) env_.reactor().cancel(timer);
-  guard.revoke();  // waits out a round running right now
+  std::scoped_lock lock(mu_);
+  client = std::move(client_);
 }
 
 void GossipAgent::bump_version() {
@@ -230,25 +224,6 @@ std::vector<std::string> GossipAgent::handle_sync(
   return reply;
 }
 
-void GossipAgent::arm_locked() {
-  const std::uint64_t gen = ++tick_gen_;
-  timer_ = env_.reactor().post_after(
-      options_.gossip_interval, guard_.wrap([this, gen] { run_round(gen); }),
-      /*blocking=*/true);
-}
-
-void GossipAgent::run_round(std::uint64_t gen) {
-  {
-    std::scoped_lock lock(mu_);
-    if (gen != tick_gen_) return;  // superseded by stop()/restart
-    timer_ = 0;
-  }
-  round();
-  std::scoped_lock lock(mu_);
-  if (gen != tick_gen_) return;
-  arm_locked();
-}
-
 void GossipAgent::round() {
   std::shared_ptr<daemon::AceClient> client;
   std::vector<RoomView> candidates;
@@ -292,7 +267,7 @@ void GossipAgent::round() {
   obs_rounds_->inc();
 
   // Fisher-Yates prefix: pick `fanout` distinct peers uniformly. rng_ is
-  // only touched here, and rounds are serialized by the timer chain.
+  // only touched here, and rounds are serialized by the timer loop.
   const std::size_t fanout =
       std::min<std::size_t>(candidates.size(),
                             static_cast<std::size_t>(

@@ -102,9 +102,8 @@ struct FederationOptions {
   std::chrono::milliseconds relay_lease{2000};
 };
 
-// The per-room membership agent. Owned by an AsdDaemon; rounds run as a
-// repeating reactor timer chain on the ops pool (they do bounded RPCs), the
-// same generation-counted shape as daemon::LeaseCoordinator.
+// The per-room membership agent. Owned by an AsdDaemon; rounds run on a
+// net::TimerLoop on the ops pool (they do bounded RPCs).
 class GossipAgent {
  public:
   GossipAgent(daemon::Environment& env, std::string self_room,
@@ -114,14 +113,14 @@ class GossipAgent {
   GossipAgent(const GossipAgent&) = delete;
   GossipAgent& operator=(const GossipAgent&) = delete;
 
-  // (Re)starts the round chain. Bumps the incarnation epoch — a restarted
+  // (Re)starts the round loop. Bumps the incarnation epoch — a restarted
   // directory's registry is empty, so peers must drop anything cached from
   // the previous life — and re-seeds the membership map from options
   // (volatile state died with the "process").
   void start(net::Address self_address,
              std::shared_ptr<daemon::AceClient> client);
 
-  // Cancels the round chain and waits out a round running right now.
+  // Stops the round loop, waiting out a round running right now.
   void stop();
 
   // Registry mutation hook (register/deregister/expiry): advances the
@@ -164,8 +163,6 @@ class GossipAgent {
     std::uint64_t last_advance_round = 0;  // local round of last heartbeat advance
   };
 
-  void arm_locked();
-  void run_round(std::uint64_t gen);
   void round();
   void register_with_relay(daemon::AceClient& client);
   std::vector<std::string> encode_view_locked() const;
@@ -192,11 +189,10 @@ class GossipAgent {
   std::unordered_map<std::string, Member> members_;
   std::uint64_t incarnation_ = 0;  // survives restarts of this object
   std::uint64_t round_ = 0;        // local round number, resets per epoch
-  util::Rng rng_;  // touched only on the round chain (serialized)
+  util::Rng rng_;  // touched only by rounds (ticks never overlap)
 
-  std::uint64_t tick_gen_ = 0;
-  net::Reactor::TimerId timer_ = 0;
-  net::TaskGuard guard_;
+  // Round loop, every gossip_interval (last member: stopped first).
+  net::TimerLoop loop_;
 };
 
 // Sends `cmd` to a room's ASD: directly, or tunneled through `relayForward`

@@ -28,7 +28,8 @@ daemon::DaemonConfig srm_defaults(daemon::DaemonConfig config) {
 HrmDaemon::HrmDaemon(daemon::Environment& env, daemon::DaemonHost& host,
                      daemon::DaemonConfig config, HrmOptions options)
     : ServiceDaemon(env, host, hrm_defaults(std::move(config))),
-      options_(options) {
+      options_(options),
+      sampler_(env.reactor(), [this] { return sample(); }) {
   register_command(CommandSpec("hrmStatus", "report host resources"),
                    [this](const CmdLine&, const CallerInfo&) {
                      return status_reply();
@@ -52,23 +53,20 @@ cmdlang::CmdLine HrmDaemon::status_reply() {
 
 util::Status HrmDaemon::on_start() {
   if (options_.sample_period.count() > 0)
-    sampler_ = std::jthread([this](std::stop_token st) { sampler_loop(st); });
+    sampler_.start(options_.sample_period);
   return util::Status::ok_status();
 }
 
-void HrmDaemon::on_stop() { sampler_ = {}; }
+void HrmDaemon::on_stop() { sampler_.stop(); }
 
-void HrmDaemon::sampler_loop(std::stop_token st) {
-  while (!st.stop_requested()) {
-    std::this_thread::sleep_for(options_.sample_period);
-    if (st.stop_requested()) return;
-    const daemon::ResourceSnapshot snap = host().resources();
-    CmdLine event("hrmSample");
-    event.arg("host", host().name());
-    event.arg("cpu_load", snap.cpu_load);
-    event.arg("mem_free", static_cast<std::int64_t>(snap.mem_free_kb));
-    emit_notification(event);
-  }
+std::optional<net::Reactor::Clock::duration> HrmDaemon::sample() {
+  const daemon::ResourceSnapshot snap = host().resources();
+  CmdLine event("hrmSample");
+  event.arg("host", host().name());
+  event.arg("cpu_load", snap.cpu_load);
+  event.arg("mem_free", static_cast<std::int64_t>(snap.mem_free_kb));
+  emit_notification(event);
+  return options_.sample_period;
 }
 
 // -------------------------------------------------------------------- SRM

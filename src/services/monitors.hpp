@@ -35,11 +35,12 @@ class HrmDaemon : public daemon::ServiceDaemon {
   void on_stop() override;
 
  private:
-  void sampler_loop(std::stop_token st);
+  // Emits one hrmSample notification; returns sample_period.
+  std::optional<net::Reactor::Clock::duration> sample();
   cmdlang::CmdLine status_reply();
 
   HrmOptions options_;
-  std::jthread sampler_;
+  net::TimerLoop sampler_;
 };
 
 struct SrmOptions {

@@ -22,13 +22,14 @@ void ReplicationBatcher::Pending::settle(bool ok) {
   cv_.notify_all();
 }
 
-ReplicationBatcher::ReplicationBatcher(obs::MetricsRegistry& metrics,
+ReplicationBatcher::ReplicationBatcher(daemon::Environment& env,
                                        daemon::AceClient& client,
                                        BatcherOptions options)
-    : client_(client),
+    : reactor_(env.reactor()),
+      client_(client),
       options_(options),
-      obs_flushes_(&metrics.counter("store.batch_flushes")),
-      obs_records_(&metrics.counter("store.batch_records")) {}
+      obs_flushes_(&env.metrics().counter("store.batch_flushes")),
+      obs_records_(&env.metrics().counter("store.batch_records")) {}
 
 ReplicationBatcher::~ReplicationBatcher() { shutdown(); }
 
@@ -36,28 +37,27 @@ std::shared_ptr<ReplicationBatcher::Pending> ReplicationBatcher::submit(
     const net::Address& peer, std::string record) {
   auto pending = std::make_shared<Pending>();
   Lane* lane = nullptr;
+  bool post = false;
   {
+    // lanes_mu_ stays held across the push, so shutdown() cannot free the
+    // lane under it.
     std::scoped_lock lock(lanes_mu_);
     if (stopped_) {
       pending->settle(false);
       return pending;
     }
-    auto it = lanes_.find(peer);
-    if (it == lanes_.end()) {
-      auto fresh = std::make_unique<Lane>();
-      fresh->flusher = std::jthread(
-          [this, raw = fresh.get(), peer](std::stop_token st) {
-            flusher_loop(st, raw, peer);
-          });
-      it = lanes_.emplace(peer, std::move(fresh)).first;
-    }
-    lane = it->second.get();
-  }
-  {
-    std::scoped_lock lock(lane->mu);
+    auto& slot = lanes_[peer];
+    if (!slot) slot = std::make_unique<Lane>();
+    lane = slot.get();
+    std::scoped_lock lane_lock(lane->mu);
     lane->queue.push_back(Item{std::move(record), pending});
+    post = !std::exchange(lane->flushing, true);
   }
-  lane->cv.notify_one();
+  // Only the write that finds the lane idle wakes the pool; later ones
+  // ride the flush already under way.
+  if (post)
+    reactor_.post_blocking(
+        flushes_.wrap([this, lane, peer] { flush(lane, peer); }));
   return pending;
 }
 
@@ -68,30 +68,24 @@ void ReplicationBatcher::shutdown() {
     stopped_ = true;
     lanes.swap(lanes_);
   }
-  for (auto& [peer, lane] : lanes) {
-    lane->flusher.request_stop();
-    lane->cv.notify_all();
-    lane->flusher = {};  // join
+  flushes_.revoke();  // a flush in flight finishes its batch, then quits
+  for (auto& [peer, lane] : lanes)
     for (auto& item : lane->queue) item.pending->settle(false);
-  }
 }
 
-void ReplicationBatcher::flusher_loop(std::stop_token st, Lane* lane,
-                                      net::Address peer) {
-  while (true) {
+void ReplicationBatcher::flush(Lane* lane, const net::Address& peer) {
+  for (;;) {
     std::vector<Item> batch;
     {
-      std::unique_lock lock(lane->mu);
-      lane->cv.wait(lock, st, [&] { return !lane->queue.empty(); });
-      if (st.stop_requested()) return;  // shutdown() fails the leftovers
-    }
-    if (options_.flush_interval.count() > 0)
-      std::this_thread::sleep_for(options_.flush_interval);
-    {
       std::scoped_lock lock(lane->mu);
+      // Empty lane: the next submit posts a fresh task. Stopped: shutdown()
+      // fails the leftovers.
+      if (lane->queue.empty() || stopped_) {
+        lane->flushing = false;
+        return;
+      }
       batch.swap(lane->queue);
     }
-    if (batch.empty()) continue;
 
     std::vector<std::string> records;
     records.reserve(batch.size());

@@ -2,38 +2,36 @@
 // concurrent replicated writes into one framed `storeReplicateBatch` RPC
 // per peer per flush, riding the pipelined command channel.
 //
-// Each destination replica gets a *lane*: a queue plus a flusher thread.
-// Writers enqueue an opaque record and receive a Pending handle to await
-// the replica's acknowledgement. The flusher sends immediately when idle;
-// while a batch RPC is in flight, new records pile up behind it and the
-// next flush ships them all in one frame — classic group commit, where the
-// in-flight round trip is the natural coalescing window. An optional
-// `flush_interval` adds a fixed wait before each flush to trade write
-// latency for bigger batches (docs/store.md discusses tuning).
+// Each destination replica gets a *lane*: a queue plus at most one flush
+// task on the reactor's ops pool, posted by the write that finds the lane
+// idle. Writers receive a Pending handle to await the replica's ack. While
+// a batch RPC is in flight, new records pile up behind it and the task's
+// next batch ships them all in one frame — classic group commit, where the
+// in-flight round trip is the natural coalescing window. The task ends
+// when it finds the lane empty: one flight per lane, no idle thread.
 //
 // A batch either lands whole (the peer applies every record; LWW apply
 // cannot fail per-record) or fails whole (transport error / timeout), so
 // one reply settles every Pending in the flight.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "daemon/client.hpp"
+#include "daemon/environment.hpp"
+#include "net/reactor.hpp"
 #include "obs/metrics.hpp"
 
 namespace ace::store {
 
 struct BatcherOptions {
-  // Extra coalescing wait once a flush has at least one record. 0 = flush
-  // as soon as the lane is idle (in-flight RPCs still batch naturally).
-  std::chrono::milliseconds flush_interval{0};
   std::chrono::milliseconds call_timeout{300};
 };
 
@@ -56,7 +54,8 @@ class ReplicationBatcher {
     bool ok_ = false;
   };
 
-  ReplicationBatcher(obs::MetricsRegistry& metrics, daemon::AceClient& client,
+  // Flush tasks run on env's reactor; counters land in env's registry.
+  ReplicationBatcher(daemon::Environment& env, daemon::AceClient& client,
                      BatcherOptions options);
   ~ReplicationBatcher();
 
@@ -68,10 +67,10 @@ class ReplicationBatcher {
   std::shared_ptr<Pending> submit(const net::Address& peer,
                                   std::string record);
 
-  // Stops every lane (joins flushers) and fails all queued records.
-  // Idempotent; submit() afterwards fast-fails. Called from the store
-  // daemon's on_stop/on_crash, where command handlers may still be racing
-  // in — the object stays valid, merely inert.
+  // Stops every lane (waits out a flush in flight) and fails all queued
+  // records. Idempotent; submit() afterwards fast-fails. Called from the
+  // store daemon's on_stop/on_crash, where command handlers may still be
+  // racing in — the object stays valid, merely inert.
   void shutdown();
 
  private:
@@ -81,19 +80,23 @@ class ReplicationBatcher {
   };
   struct Lane {
     std::mutex mu;
-    std::condition_variable_any cv;
     std::vector<Item> queue;
-    std::jthread flusher;  // joined by shutdown()
+    bool flushing = false;  // a flush task is posted or running
   };
 
-  void flusher_loop(std::stop_token st, Lane* lane, net::Address peer);
+  // The lane's flush task: ships batches until the lane is empty.
+  void flush(Lane* lane, const net::Address& peer);
 
+  net::Reactor& reactor_;
   daemon::AceClient& client_;
   BatcherOptions options_;
 
   std::mutex lanes_mu_;
-  bool stopped_ = false;
+  std::atomic<bool> stopped_{false};
   std::map<net::Address, std::unique_ptr<Lane>> lanes_;
+  // Revoked by shutdown(): queued flush tasks become no-ops and a running
+  // one is waited out, so none touches a lane after it is gone.
+  net::TaskGuard flushes_;
 
   obs::Counter* obs_flushes_;
   obs::Counter* obs_records_;

@@ -123,7 +123,8 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       obs_wal_torn_(&env.metrics().counter("store.wal_torn_tail_dropped")),
       obs_recoveries_(&env.metrics().counter("store.recoveries")),
       obs_compactions_(&env.metrics().counter("store.snapshot_compactions")),
-      obs_snap_fallbacks_(&env.metrics().counter("store.snapshot_fallbacks")) {
+      obs_snap_fallbacks_(&env.metrics().counter("store.snapshot_fallbacks")),
+      monitor_(env.reactor(), [this] { return monitor_tick(); }) {
   register_command(
       CommandSpec("storePut", "store an object (quorum write)").concurrent_ok()
           .arg(string_arg("key"))
@@ -483,19 +484,20 @@ util::Status PersistentStoreDaemon::on_start() {
   {
     std::scoped_lock lock(mu_);
     batcher_ = std::make_shared<ReplicationBatcher>(
-        env().metrics(), control_client(),
-        BatcherOptions{.flush_interval = options_.flush_interval,
-                       .call_timeout = options_.replicate_timeout});
+        env(), control_client(),
+        BatcherOptions{.call_timeout = options_.replicate_timeout});
     // Fresh guard per start: the previous one stays revoked so any task
     // still queued from the last life remains a no-op.
     read_tasks_ = net::TaskGuard();
   }
-  monitor_ = std::jthread([this](std::stop_token st) { monitor_loop(st); });
+  peer_up_.clear();
+  first_round_ = true;
+  monitor_.start();  // first round at once: the boot catch-up sync
   return util::Status::ok_status();
 }
 
 void PersistentStoreDaemon::shutdown_runtime(bool flush) {
-  monitor_ = {};
+  monitor_.stop();
   std::shared_ptr<ReplicationBatcher> batcher;
   std::shared_ptr<DurableLog> dlog;
   net::TaskGuard read_tasks;
@@ -535,59 +537,47 @@ void PersistentStoreDaemon::on_crash() {
 // Peer liveness monitor: detects rejoins (peer restart or partition heal,
 // from either side), runs anti-entropy so the cluster converges without a
 // manual storeSync, and pushes hinted-handoff writes back to their owners.
-// The first iteration doubles as the boot catch-up sync a rejoining
-// replica needs.
-void PersistentStoreDaemon::monitor_loop(std::stop_token st) {
-  const auto slice = std::chrono::milliseconds(25);
-  std::map<net::Address, bool> peer_up;
-  bool first = true;
-  while (!st.stop_requested()) {
-    if (!first) {
-      auto remaining = options_.probe_interval;
-      while (remaining.count() > 0 && !st.stop_requested()) {
-        std::this_thread::sleep_for(std::min(remaining, slice));
-        remaining -= slice;
-      }
-      if (st.stop_requested()) return;
-    }
-
-    std::vector<net::Address> peers;
-    {
-      std::scoped_lock lock(mu_);
-      peers = peers_;
-    }
-    bool rejoined = false;
-    std::vector<net::Address> reachable;
-    for (const net::Address& peer : peers) {
-      auto pong = control_client().call(
-          peer, CmdLine("ping"),
-          daemon::CallOptions{.timeout = options_.probe_timeout,
-                              .require_ok = true,
-                              .retries = 0,
-                              .backoff = std::chrono::milliseconds(0)});
-      const bool up = pong.ok();
-      if (up) reachable.push_back(peer);
-      auto it = peer_up.find(peer);
-      if (it == peer_up.end()) {
-        peer_up[peer] = up;
-      } else {
-        if (!it->second && up) rejoined = true;
-        it->second = up;
-      }
-    }
-    if (st.stop_requested()) return;
-    for (const net::Address& peer : reachable) drain_hints(peer);
-    maybe_compact();  // durable mode: snapshot once the WAL outgrows it
-    if (first || rejoined) {
-      auto fetched = sync_from_peers();
-      if (!first && fetched.ok()) {
-        obs_rejoin_syncs_->inc();
-        net_log("info", "peer rejoin detected; anti-entropy fetched " +
-                            std::to_string(fetched.value()) + " objects");
-      }
-    }
-    first = false;
+// The first round of each life doubles as the boot catch-up sync a
+// rejoining replica needs.
+std::optional<net::Reactor::Clock::duration>
+PersistentStoreDaemon::monitor_tick() {
+  std::vector<net::Address> peers;
+  {
+    std::scoped_lock lock(mu_);
+    peers = peers_;
   }
+  bool rejoined = false;
+  std::vector<net::Address> reachable;
+  for (const net::Address& peer : peers) {
+    auto pong = control_client().call(
+        peer, CmdLine("ping"),
+        daemon::CallOptions{.timeout = options_.probe_timeout,
+                            .require_ok = true,
+                            .retries = 0,
+                            .backoff = std::chrono::milliseconds(0)});
+    const bool up = pong.ok();
+    if (up) reachable.push_back(peer);
+    auto it = peer_up_.find(peer);
+    if (it == peer_up_.end()) {
+      peer_up_[peer] = up;
+    } else {
+      if (!it->second && up) rejoined = true;
+      it->second = up;
+    }
+  }
+  if (!monitor_.active()) return std::nullopt;  // stopping: skip the rest
+  for (const net::Address& peer : reachable) drain_hints(peer);
+  maybe_compact();  // durable mode: snapshot once the WAL outgrows it
+  if (first_round_ || rejoined) {
+    auto fetched = sync_from_peers();
+    if (!first_round_ && fetched.ok()) {
+      obs_rejoin_syncs_->inc();
+      net_log("info", "peer rejoin detected; anti-entropy fetched " +
+                          std::to_string(fetched.value()) + " objects");
+    }
+  }
+  first_round_ = false;
+  return options_.probe_interval;
 }
 
 std::uint64_t PersistentStoreDaemon::next_version() {

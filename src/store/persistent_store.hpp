@@ -98,10 +98,6 @@ struct StoreOptions {
   // Merkle digest tree depth: 2^depth anti-entropy buckets.
   int merkle_depth = 12;
 
-  // Extra coalescing wait before each flush of the per-peer replication
-  // batcher (store/batch.hpp; 0 = flush when idle — the in-flight RPC is
-  // the natural batching window).
-  std::chrono::milliseconds flush_interval{0};
   // Per-peer replication deadline (batched and direct).
   std::chrono::milliseconds replicate_timeout{300};
 
@@ -249,7 +245,8 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   std::int64_t ingest_digest_entry(const net::Address& peer,
                                    const std::string& entry);
 
-  void monitor_loop(std::stop_token st);
+  // One peer-monitor round (see the definition); returns probe_interval.
+  std::optional<net::Reactor::Clock::duration> monitor_tick();
 
   int replica_id_;
   StoreOptions options_;
@@ -277,7 +274,9 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   std::uint64_t torn_tails_ = 0;
   std::uint64_t snapshot_fallbacks_ = 0;
   DurableLog::RecoveryStats recovery_stats_;
-  std::jthread monitor_;
+  // Monitor round state (ticks never overlap; reset by on_start).
+  std::map<net::Address, bool> peer_up_;  // last probe verdict per peer
+  bool first_round_ = true;               // next round is the boot sync
 
   // Cached obs cells (deployment registry, `store.*` names).
   obs::Counter* obs_writes_;
@@ -300,6 +299,9 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   obs::Counter* obs_recoveries_;
   obs::Counter* obs_compactions_;
   obs::Counter* obs_snap_fallbacks_;
+
+  // Peer monitor (last member: stopped before anything it reads dies).
+  net::TimerLoop monitor_;
 };
 
 std::string hex_of(const util::Bytes& data);

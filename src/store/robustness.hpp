@@ -13,7 +13,7 @@
 //    (salLaunchService), optionally pinned to a host.
 //
 // The manager must survive the infrastructure failing around it, so a
-// watchdog thread self-heals the watching itself:
+// watchdog (a reactor timer loop) self-heals the watching itself:
 //
 //  * the `serviceExpired` subscription lives in the ASD's volatile memory —
 //    after an ASD crash+restart it is gone and every managed service would
@@ -94,7 +94,8 @@ class RobustnessManagerDaemon : public daemon::ServiceDaemon {
   // One salLaunchService attempt. Returns false (and re-arms the backoff)
   // on failure.
   bool try_relaunch(const std::string& name);
-  void watchdog_loop(std::stop_token st);
+  // One watchdog round; returns watch_interval.
+  std::optional<net::Reactor::Clock::duration> watchdog_tick();
   // True when the ASD still lists our serviceExpired subscription.
   bool subscription_alive();
 
@@ -116,7 +117,6 @@ class RobustnessManagerDaemon : public daemon::ServiceDaemon {
   std::map<std::string, PendingRelaunch> pending_;
   std::map<std::string, std::chrono::steady_clock::time_point> last_success_;
   int total_restarts_ = 0;
-  std::jthread watchdog_;
 
   // The watchdog sweeps the directory every tick for every managed name,
   // which made the manager the chattiest ASD reader in the deployment. A
@@ -132,6 +132,9 @@ class RobustnessManagerDaemon : public daemon::ServiceDaemon {
   obs::Counter* obs_resubscribes_;
   obs::Counter* obs_cache_invalidations_;
   obs::Gauge* obs_pending_;
+
+  // Watchdog (last member: stopped before anything it reads dies).
+  net::TimerLoop watchdog_;
 };
 
 }  // namespace ace::store

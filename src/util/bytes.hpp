@@ -104,6 +104,7 @@ class ByteWriter {
   void raw(const std::uint8_t* data, std::size_t n);
   void raw(const Bytes& b) { raw(b.data(), b.size()); }
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
   const Bytes& bytes() const { return buf_; }
   Bytes take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }

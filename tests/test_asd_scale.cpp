@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "ace_test_env.hpp"
 #include "daemon/lease.hpp"
 #include "services/asd_index.hpp"
 #include "services/monitors.hpp"
+#include "store/persistent_store.hpp"
 #include "store/robustness.hpp"
 #include "util/strings.hpp"
 
@@ -384,23 +386,69 @@ TEST_F(AsdScaleTest, ExpiryNotificationEvictsRobustnessManagerCache) {
   rm.stop();
 }
 
-// ------------------------------------------------------------ reaper latency
+// ------------------------------------------------------- loop stop latency
 
-TEST_F(AsdScaleTest, AsdStopsPromptlyDespiteLongReapInterval) {
+// Every daemon that owns a background loop (reaper, peer monitor, watchdog,
+// sampler) must stop promptly even when that loop's interval is long: stop()
+// unarms the pending tick instead of sleeping out the interval.
+struct LoopOwner {
+  std::string name;
+  std::function<daemon::ServiceDaemon&(daemon::DaemonHost&,
+                                       daemon::DaemonConfig)>
+      add;
+  friend void PrintTo(const LoopOwner& o, std::ostream* os) { *os << o.name; }
+};
+
+class LoopOwnerStopTest : public AsdScaleTest,
+                          public ::testing::WithParamInterface<LoopOwner> {};
+
+TEST_P(LoopOwnerStopTest, StopsPromptlyDespiteLongInterval) {
   daemon::DaemonHost host(deployment_->env, "aux");
   daemon::DaemonConfig c;
-  c.name = "slow-reap-asd";
+  c.name = "slow-" + GetParam().name;
   c.room = "machine-room";
   c.register_with_asd = false;
   c.register_with_room_db = false;
-  services::AsdOptions opts;
-  opts.reap_interval = 5s;  // the cv wait must be cut short by stop()
-  auto& asd = host.add_daemon<services::AsdDaemon>(c, opts);
-  ASSERT_TRUE(asd.start().ok());
-  std::this_thread::sleep_for(50ms);  // reaper parked in its long wait
+  daemon::ServiceDaemon& d = GetParam().add(host, c);
+  ASSERT_TRUE(d.start().ok());
+  std::this_thread::sleep_for(100ms);  // loop parked in its 5 s interval
 
   const auto t0 = std::chrono::steady_clock::now();
-  asd.stop();
+  d.stop();
   const auto took = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(took, 1s) << "stop() blocked on the reap interval";
+  EXPECT_LT(took, 1s) << "stop() blocked on the " << GetParam().name
+                      << " loop's interval";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLoops, LoopOwnerStopTest,
+    ::testing::Values(
+        LoopOwner{"asd",
+                  [](daemon::DaemonHost& h, daemon::DaemonConfig c)
+                      -> daemon::ServiceDaemon& {
+                    return h.add_daemon<services::AsdDaemon>(
+                        c, services::AsdOptions{.reap_interval = 5s});
+                  }},
+        LoopOwner{"store",
+                  [](daemon::DaemonHost& h, daemon::DaemonConfig c)
+                      -> daemon::ServiceDaemon& {
+                    store::StoreOptions opts;
+                    opts.probe_interval = 5s;
+                    return h.add_daemon<store::PersistentStoreDaemon>(c, 1,
+                                                                      opts);
+                  }},
+        LoopOwner{"rm",
+                  [](daemon::DaemonHost& h, daemon::DaemonConfig c)
+                      -> daemon::ServiceDaemon& {
+                    return h.add_daemon<store::RobustnessManagerDaemon>(
+                        c, store::RobustnessOptions{.watch_interval = 5s});
+                  }},
+        LoopOwner{"hrm",
+                  [](daemon::DaemonHost& h, daemon::DaemonConfig c)
+                      -> daemon::ServiceDaemon& {
+                    return h.add_daemon<services::HrmDaemon>(
+                        c, services::HrmOptions{.sample_period = 5s});
+                  }}),
+    [](const ::testing::TestParamInfo<LoopOwner>& info) {
+      return info.param.name;
+    });

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +197,189 @@ TEST(Reactor, TaskGuardRevokeMakesPendingTasksNoOps) {
   guard.revoke();
   std::this_thread::sleep_for(60ms);
   EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(Reactor, TaskGuardRevokeWaitsForEveryOverlappingTask) {
+  // Two wrapped tasks overlap; the later one finishes first, and revoke()
+  // is then called from its thread. It must still wait for the first.
+  net::TaskGuard guard;
+  std::atomic<bool> first_started{false};
+  std::atomic<bool> release_first{false};
+  std::atomic<bool> first_done{false};
+  std::atomic<bool> revoked{false};
+  auto first = guard.wrap([&] {
+    first_started = true;
+    while (!release_first) std::this_thread::sleep_for(1ms);
+    first_done = true;
+  });
+  auto second = guard.wrap([] {});
+  std::thread t1(first);
+  std::thread t2([&] {
+    while (!first_started) std::this_thread::sleep_for(1ms);
+    second();
+    guard.revoke();
+    EXPECT_TRUE(first_done.load()) << "revoke() returned mid-task";
+    revoked = true;
+  });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(revoked.load());
+  release_first = true;
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(revoked.load());
+}
+
+// ---------------------------------------------------------------- TimerLoop
+
+TEST(TimerLoop, NoTickRunsAfterStopReturns) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  net::TimerLoop loop(reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+    ticks++;
+    return 1ms;
+  });
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return ticks.load() >= 5; }));
+  loop.stop();
+  EXPECT_FALSE(loop.active());
+  const int at_stop = ticks.load();
+  std::this_thread::sleep_for(30ms);
+  EXPECT_EQ(ticks.load(), at_stop);
+}
+
+TEST(TimerLoop, StopWaitsOutARunningTick) {
+  net::Reactor reactor;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  net::TimerLoop loop(reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+    entered = true;
+    std::this_thread::sleep_for(50ms);
+    finished = true;
+    return 1h;
+  });
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return entered.load(); }));
+  loop.stop();
+  EXPECT_TRUE(finished.load());  // stop() returned only after the tick did
+}
+
+TEST(TimerLoop, StopFromInsideTheTickEndsTheLoop) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  std::atomic<bool> stop_returned{false};
+  std::unique_ptr<net::TimerLoop> loop;
+  loop = std::make_unique<net::TimerLoop>(
+      reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+        if (++ticks == 2) {
+          loop->stop();  // must not wait for itself
+          stop_returned = true;
+        }
+        return 1ms;  // ignored: the loop was stopped
+      });
+  loop->start();
+  ASSERT_TRUE(eventually([&] { return stop_returned.load(); }));
+  std::this_thread::sleep_for(30ms);
+  EXPECT_EQ(ticks.load(), 2);
+  EXPECT_FALSE(loop->active());
+}
+
+TEST(TimerLoop, NulloptEndsTheLoop) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  net::TimerLoop loop(reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+    if (++ticks == 3) return std::nullopt;
+    return 1ms;
+  });
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return !loop.active(); }));
+  std::this_thread::sleep_for(30ms);
+  EXPECT_EQ(ticks.load(), 3);
+}
+
+TEST(TimerLoop, StartAfterStopTicksAgain) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  net::TimerLoop loop(reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+    ticks++;
+    return 1ms;
+  });
+  loop.start(1h);  // armed far out, then stopped before it fires
+  loop.stop();
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return ticks.load() >= 3; }));
+  loop.stop();
+  const int first_life = ticks.load();
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return ticks.load() >= first_life + 3; }));
+  loop.stop();
+}
+
+TEST(TimerLoop, StartOnAnArmedLoopReArmsIt) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  net::TimerLoop loop(reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+    ticks++;
+    return 1h;
+  });
+  loop.start(1h);
+  loop.start(1ms);  // the tighter first delay replaces the pending one
+  ASSERT_TRUE(eventually([&] { return ticks.load() == 1; }));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(ticks.load(), 1);  // one tick, not one per start()
+  EXPECT_TRUE(loop.active());
+}
+
+TEST(TimerLoop, StartDuringATickOutlivesItsNullopt) {
+  net::Reactor reactor;
+  std::atomic<int> ticks{0};
+  std::atomic<bool> in_first{false};
+  std::atomic<bool> release{false};
+  net::TimerLoop loop(reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+    if (++ticks == 1) {
+      in_first = true;
+      while (!release) std::this_thread::sleep_for(1ms);
+    }
+    return std::nullopt;  // every tick would end the loop on its own
+  });
+  loop.start();
+  ASSERT_TRUE(eventually([&] { return in_first.load(); }));
+  loop.start(1ms);  // lands mid-tick: the loop must go on after it
+  release = true;
+  ASSERT_TRUE(eventually([&] { return ticks.load() == 2; }));
+  ASSERT_TRUE(eventually([&] { return !loop.active(); }));
+  EXPECT_EQ(ticks.load(), 2);
+}
+
+TEST(TimerLoop, AbsoluteOffsetScheduleFiresInOrder) {
+  // The chaos injector's shape: events at absolute offsets from a start
+  // instant; each tick applies what is due and sleeps until the next one.
+  net::Reactor reactor;
+  const std::vector<std::chrono::milliseconds> offsets = {5ms, 5ms, 20ms,
+                                                          35ms, 60ms};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t next = 0;
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::chrono::steady_clock::duration>>
+      fired;
+  net::TimerLoop loop(
+      reactor, [&]() -> std::optional<net::Reactor::Clock::duration> {
+        const auto now = std::chrono::steady_clock::now();
+        while (next < offsets.size() && t0 + offsets[next] <= now) {
+          std::scoped_lock lock(mu);
+          fired.emplace_back(next, now - t0);
+          ++next;
+        }
+        if (next == offsets.size()) return std::nullopt;
+        return t0 + offsets[next] - std::chrono::steady_clock::now();
+      });
+  loop.start(offsets.front());
+  ASSERT_TRUE(eventually([&] { return !loop.active(); }));
+  std::scoped_lock lock(mu);
+  ASSERT_EQ(fired.size(), offsets.size());
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i].first, i);
+    EXPECT_GE(fired[i].second, offsets[i]) << "event " << i << " fired early";
+  }
 }
 
 // ------------------------------------------------- async endpoint surfaces

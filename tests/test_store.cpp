@@ -188,10 +188,14 @@ TEST_F(StoreTest, PeerRejoinTriggersAutomaticAntiEntropy) {
   net.set_partitioned("store3", "app-host", false);
 
   // No manual storeSync: the monitor notices its peers transition back to
-  // reachable and runs an anti-entropy round on its own.
+  // reachable and runs an anti-entropy round on its own. The object can
+  // also arrive first by the coordinator's hinted handoff, so wait for the
+  // rejoin sync itself too.
+  auto& rejoin_syncs = deployment_->env.metrics().counter("store.rejoin_syncs");
   bool converged = false;
   for (int i = 0; i < 600 && !converged; ++i) {
-    converged = replicas_[2]->object("while-away").has_value();
+    converged = replicas_[2]->object("while-away").has_value() &&
+                rejoin_syncs.value() >= 1;
     if (!converged) std::this_thread::sleep_for(10ms);
   }
   ASSERT_TRUE(converged);
@@ -574,10 +578,13 @@ TEST_F(QuorumStoreTest, HintedHandoffDrainsOnHeal) {
   hosts_[2]->restore();
   ASSERT_TRUE(replicas_[2]->start().ok());
   // The peer monitor notices the heal and pushes the hinted write home.
+  // The owner applies the record before the drainer sees the ack and
+  // counts it, so wait for the count too.
   bool drained = false;
   for (int i = 0; i < 600 && !drained; ++i) {
     drained = replicas_[2]->object("hinted/k").has_value() &&
-              total_hints() == 0;
+              total_hints() == 0 &&
+              metrics.counter("store.hints_drained").value() >= 1;
     if (!drained) std::this_thread::sleep_for(10ms);
   }
   ASSERT_TRUE(drained);
