@@ -8,7 +8,8 @@
 #      plus a chaos seed sweep: the fault-injection tests replayed under
 #      several ACE_CHAOS_SEED values so each CI run exercises distinct
 #      crash/partition interleavings under the race detector, and the
-#      media, store read-path and timer-loop lifetime sweeps
+#      media, store read-path, timer-loop lifetime and authorization-memo
+#      sweeps
 #   3. AddressSanitizer — lifetime bugs on the crash/restart paths the chaos
 #      engine drives (daemon teardown, channel close, queue reopen),
 #      plus a fixed-seed disk-fault sweep: the durable-store suite (power
@@ -265,6 +266,18 @@ disk_fault_sweep() {
   "${build_dir}/tests/test_io"
 }
 
+# The authorization memo is filled and read from three paths at once:
+# concurrent_ok commands on connection strands, serialized commands on the
+# control pump, and in-process execute. Replay the race test, in which
+# all three hit one principal's cache entry while it expires and is
+# re-fetched, under TSan.
+auth_memo_race_sweep() {
+  local build_dir="$1"
+  echo "=== authorization memo sweep under ThreadSanitizer ==="
+  gtest_sweep "${build_dir}/tests/test_daemon" \
+    'DaemonTest.AuthMemoRacesAcrossTtlExpiry' --gtest_repeat=3
+}
+
 want="${1:-all}"
 
 case "${want}" in
@@ -280,6 +293,7 @@ case "${want}" in
     media_race_sweep build-tsan
     read_path_race_sweep build-tsan
     timer_loop_race_sweep build-tsan
+    auth_memo_race_sweep build-tsan
     ;;&
   asan|all)
     run_config "asan" build-asan -DACE_SANITIZE=address

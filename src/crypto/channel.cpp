@@ -9,6 +9,8 @@ namespace ace::crypto {
 namespace {
 
 constexpr std::size_t kMacTagLen = 16;
+// The handshake span's cell, named whole so no span concatenates it.
+constexpr const char* kHandshakeLatency = "crypto.handshake.latency_us";
 
 std::uint64_t next_channel_seed() {
   static std::atomic<std::uint64_t> counter{0x5eedface};
@@ -60,7 +62,9 @@ util::Result<SecureChannel> SecureChannel::connect(net::Connection conn,
   if (!options.metrics)
     return handshake(std::move(conn), self, ca_key, timeout, options,
                      /*is_client=*/true);
-  obs::Span span(*options.metrics, "crypto", "handshake");
+  obs::Span span(*options.metrics,
+                 options.metrics->histogram(kHandshakeLatency), "crypto",
+                 "handshake");
   auto r = handshake(std::move(conn), self, ca_key, timeout, options,
                      /*is_client=*/true);
   span.set_ok(r.ok());
@@ -78,7 +82,9 @@ util::Result<SecureChannel> SecureChannel::accept(net::Connection conn,
   if (!options.metrics)
     return handshake(std::move(conn), self, ca_key, timeout, options,
                      /*is_client=*/false);
-  obs::Span span(*options.metrics, "crypto", "handshake");
+  obs::Span span(*options.metrics,
+                 options.metrics->histogram(kHandshakeLatency), "crypto",
+                 "handshake");
   auto r = handshake(std::move(conn), self, ca_key, timeout, options,
                      /*is_client=*/false);
   span.set_ok(r.ok());
@@ -133,7 +139,9 @@ struct HandshakeCore {
                         std::vector<util::Bytes>& out) {
     if (frames_seen++ == 0) return on_peer_hello(frame, out);
 
-    if (frame != expected_peer_auth)
+    if (frame.size() != expected_peer_auth.size() ||
+        !constant_time_equal(frame.data(), expected_peer_auth.data(),
+                             frame.size()))
       return util::Error{util::Errc::auth_error,
                          "handshake: peer authentication failed"};
     done = true;
@@ -187,16 +195,13 @@ struct HandshakeCore {
                        static_cast<std::uint32_t>(keys[offset + 33]) << 8 |
                        static_cast<std::uint32_t>(keys[offset + 34]) << 16 |
                        static_cast<std::uint32_t>(keys[offset + 35]) << 24;
-      dir.mac_key.assign(keys.begin() + offset + 36,
-                         keys.begin() + offset + 68);
+      dir.mac = HmacSha256(keys.data() + offset + 36, 32);
     };
-    SecureChannel::DirectionKeys client_to_server, server_to_client;
-    load_direction(0, client_to_server);
-    load_direction(68, server_to_client);
+    // Client-to-server keys come first in the HKDF output.
+    load_direction(is_client ? 0 : 68, state->send_keys);
+    load_direction(is_client ? 68 : 0, state->recv_keys);
 
     state->peer = peer_hello->certificate.subject;
-    state->send_keys = is_client ? client_to_server : server_to_client;
-    state->recv_keys = is_client ? server_to_client : client_to_server;
 
     if (!is_client) out.push_back(my_hello);
     out.push_back(std::move(my_auth));
@@ -290,7 +295,10 @@ struct AsyncHandshake {
     op->metrics = options.metrics;
     if (options.metrics)
       op->span =
-          std::make_unique<obs::Span>(*options.metrics, "crypto", "handshake");
+          std::make_unique<obs::Span>(*options.metrics,
+                                      options.metrics->histogram(
+                                          kHandshakeLatency),
+                                      "crypto", "handshake");
 
     std::unique_lock lk(op->mu);
     if (is_client) {
@@ -405,9 +413,10 @@ util::Status SecureChannel::send(net::Frame frame) {
   chacha20_xor(keys.cipher_key, nonce_from_sequence(seq, keys.nonce_salt), 1,
                frame);
   util::ByteWriter record;
+  record.reserve(8 + frame.size() + kMacTagLen);
   record.u64(seq);
   record.raw(frame);
-  Digest mac = hmac_sha256(keys.mac_key, record.bytes());
+  Digest mac = keys.mac.mac(record.bytes());
   record.raw(mac.data(), kMacTagLen);
   return state_->conn.send(record.take());
 }
@@ -431,9 +440,9 @@ std::optional<net::Frame> SecureChannel::decrypt_record(State& state,
   // the payload is decrypted where it lies, so the only data movement is
   // one memmove dropping the 8-byte header (no body/payload copies).
   std::size_t body_len = record.size() - kMacTagLen;
-  Digest mac = hmac_sha256(keys.mac_key, record.data(), body_len);
-  for (std::size_t i = 0; i < kMacTagLen; ++i)
-    if (record[body_len + i] != mac[i]) return std::nullopt;  // forged
+  Digest mac = keys.mac.mac(record.data(), body_len);
+  if (!constant_time_equal(record.data() + body_len, mac.data(), kMacTagLen))
+    return std::nullopt;  // forged
 
   util::ByteReader r(record.data(), 8);
   auto seq = r.u64();

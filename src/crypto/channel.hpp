@@ -103,7 +103,7 @@ class SecureChannel {
   struct DirectionKeys {
     ChaChaKey cipher_key{};
     std::uint32_t nonce_salt = 0;
-    util::Bytes mac_key;
+    HmacSha256 mac;  // keyed once at the handshake; per-record MACs reuse it
     std::uint64_t sequence = 0;
   };
 

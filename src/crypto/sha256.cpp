@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ace::crypto {
@@ -60,31 +61,32 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 void Sha256::update(const std::uint8_t* data, std::size_t n) {
+  std::size_t used = total_len_ % 64;
   total_len_ += n;
-  while (n > 0) {
-    std::size_t take = std::min(n, buffer_.size() - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, data, take);
-    buffer_len_ += take;
+  if (used > 0) {
+    std::size_t take = std::min(n, 64 - used);
+    std::memcpy(buffer_.data() + used, data, take);
     data += take;
     n -= take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (used + take < 64) return;
+    process_block(buffer_.data());
   }
+  for (; n >= 64; data += 64, n -= 64) process_block(data);
+  std::memcpy(buffer_.data(), data, n);
 }
 
 Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
+  const std::uint64_t bit_len = total_len_ * 8;
+  std::size_t used = total_len_ % 64;
+  buffer_[used++] = 0x80;
+  if (used > 56) {
+    std::memset(buffer_.data() + used, 0, 64 - used);
+    process_block(buffer_.data());
+    used = 0;
+  }
+  std::memset(buffer_.data() + used, 0, 56 - used);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  // Bypass total_len_ accounting for the length field itself.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
   process_block(buffer_.data());
   Digest out;
   for (int i = 0; i < 8; ++i) {
@@ -108,31 +110,50 @@ Digest sha256(std::string_view data) {
   return h.finish();
 }
 
+HmacSha256::HmacSha256() {
+  static const HmacSha256 empty_key(nullptr, 0);
+  *this = empty_key;
+}
+
+HmacSha256::HmacSha256(const std::uint8_t* key, std::size_t n) {
+  std::array<std::uint8_t, 64> block{};
+  if (n > block.size()) {
+    Sha256 h;
+    h.update(key, n);
+    Digest d = h.finish();
+    std::memcpy(block.data(), d.data(), d.size());
+  } else if (n > 0) {
+    std::memcpy(block.data(), key, n);
+  }
+  for (auto& b : block) b ^= 0x36;
+  inner_.update(block.data(), block.size());
+  for (auto& b : block) b ^= 0x36 ^ 0x5c;
+  outer_.update(block.data(), block.size());
+}
+
+Digest HmacSha256::mac(const std::uint8_t* message, std::size_t n) const {
+  Sha256 inner = inner_;
+  inner.update(message, n);
+  Digest inner_digest = inner.finish();
+  Sha256 outer = outer_;
+  outer.update(inner_digest.data(), inner_digest.size());
+  return outer.finish();
+}
+
 Digest hmac_sha256(const util::Bytes& key, const util::Bytes& message) {
   return hmac_sha256(key, message.data(), message.size());
 }
 
 Digest hmac_sha256(const util::Bytes& key, const std::uint8_t* message,
                    std::size_t n) {
-  util::Bytes k = key;
-  if (k.size() > 64) {
-    Digest d = sha256(k);
-    k.assign(d.begin(), d.end());
-  }
-  k.resize(64, 0);
-  util::Bytes ipad(64), opad(64);
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
-  }
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(message, n);
-  Digest inner_digest = inner.finish();
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(inner_digest.data(), inner_digest.size());
-  return outer.finish();
+  return HmacSha256(key).mac(message, n);
+}
+
+bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t n) {
+  std::uint8_t diff = 0;
+  for (std::size_t i = 0; i < n; ++i) diff |= a[i] ^ b[i];
+  return diff == 0;
 }
 
 util::Bytes hkdf(const util::Bytes& salt, const util::Bytes& ikm,

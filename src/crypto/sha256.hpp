@@ -12,6 +12,9 @@ namespace ace::crypto {
 
 using Digest = std::array<std::uint8_t, 32>;
 
+// Copyable hash state: 32 bytes of chaining value, the partial block and
+// the message length (104 bytes), so a state taken after a prefix is a
+// reusable midstate.
 class Sha256 {
  public:
   Sha256();
@@ -28,18 +31,44 @@ class Sha256 {
   void process_block(const std::uint8_t* block);
 
   std::array<std::uint32_t, 8> state_;
-  std::array<std::uint8_t, 64> buffer_;
-  std::size_t buffer_len_ = 0;
+  std::array<std::uint8_t, 64> buffer_;  // total_len_ % 64 bytes pending
   std::uint64_t total_len_ = 0;
 };
 
 Digest sha256(const util::Bytes& data);
 Digest sha256(std::string_view data);
 
+// HMAC-SHA256 (RFC 2104) with the key absorbed once: the inner and outer
+// hash states after the key's ipad and opad blocks are kept, so each mac()
+// copies two midstates and runs the message's compressions plus one,
+// with no heap allocation. One instance per key; mac() is const and may
+// run concurrently.
+class HmacSha256 {
+ public:
+  HmacSha256();  // keyed with the empty key
+  HmacSha256(const std::uint8_t* key, std::size_t n);
+  explicit HmacSha256(const util::Bytes& key)
+      : HmacSha256(key.data(), key.size()) {}
+
+  Digest mac(const std::uint8_t* message, std::size_t n) const;
+  Digest mac(const util::Bytes& message) const {
+    return mac(message.data(), message.size());
+  }
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
+
 Digest hmac_sha256(const util::Bytes& key, const util::Bytes& message);
 // Range form, for MACing a prefix of a buffer without copying it out.
 Digest hmac_sha256(const util::Bytes& key, const std::uint8_t* message,
                    std::size_t n);
+
+// Compares n bytes in time independent of where they differ, for checking
+// MAC tags and authenticators without leaking the matching prefix length.
+bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t n);
 
 // HKDF-style key derivation: extract with `salt`, expand `length` bytes of
 // output keyed material labelled by `info`.

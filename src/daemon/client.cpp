@@ -48,6 +48,7 @@ AceClient::AceClient(Environment& env, net::Host& from_host,
       breaker_closes_(&env.metrics().counter("client.breaker_closes")),
       inflight_(&env.metrics().gauge("client.inflight")),
       breaker_open_(&env.metrics().gauge("client.breaker_open")),
+      call_latency_(&env.metrics().histogram("client.call.latency_us")),
       sweeper_(env.reactor(), [this] { return sweep_idle_channels(); }) {}
 
 AceClient::~AceClient() {
@@ -194,7 +195,7 @@ void AceClient::fail_pending_locked(ChannelEntry& entry,
 util::Result<cmdlang::CmdLine> AceClient::call(const net::Address& to,
                                                const cmdlang::CmdLine& cmd,
                                                const CallOptions& options) {
-  obs::Span span(env_.metrics(), "client", "call");
+  obs::Span span(env_.metrics(), *call_latency_, "client", "call");
   calls_->inc();
   const auto timeout = options.timeout.value_or(env_.default_timeout);
   const int attempts = options.retries < 0 ? 1 : options.retries + 1;

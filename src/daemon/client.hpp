@@ -223,6 +223,7 @@ class AceClient {
   obs::Counter* breaker_closes_;
   obs::Gauge* inflight_;
   obs::Gauge* breaker_open_;  // destinations currently open
+  obs::Histogram* call_latency_;  // client.call.latency_us (span cell)
 
   // Idle-channel sweeper, armed by set_policy (last member: stopped before
   // anything a sweep touches dies).

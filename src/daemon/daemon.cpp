@@ -63,6 +63,8 @@ ServiceDaemon::ServiceDaemon(Environment& env, DaemonHost& host,
       obs_cmd_executed_(&env.metrics().counter("daemon.cmd.executed")),
       obs_cmd_rejected_(&env.metrics().counter("daemon.cmd.rejected")),
       obs_auth_denied_(&env.metrics().counter("daemon.auth.denied")),
+      obs_auth_checks_(&env.metrics().counter("daemon.auth.checks")),
+      obs_cmd_latency_(&env.metrics().histogram("daemon.cmd.latency_us")),
       obs_notify_sent_(&env.metrics().counter("daemon.notify.sent")),
       obs_notify_batches_(&env.metrics().counter("daemon.notify_batches")),
       obs_notify_batched_events_(
@@ -621,7 +623,7 @@ CmdLine ServiceDaemon::execute(const CmdLine& cmd, const CallerInfo& caller) {
 
 CmdLine ServiceDaemon::dispatch(const CmdLine& cmd, const CallerInfo& caller,
                                 bool serialize) {
-  obs::Span span(env_.metrics(), "daemon", "cmd");
+  obs::Span span(env_.metrics(), *obs_cmd_latency_, "daemon", "cmd");
   const auto started = std::chrono::steady_clock::now();
   if (auto s = semantics_.validate(cmd); !s.ok()) {
     span.fail();
@@ -668,27 +670,31 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
                                       const CallerInfo& caller) {
   if (!config_.enforce_authorization) return util::Status::ok_status();
 
-  std::string principal =
-      caller.principal.empty() ? "anonymous" : caller.principal;
+  const std::string_view principal =
+      caller.principal.empty() ? std::string_view("anonymous")
+                               : std::string_view(caller.principal);
 
   // Fig 10 step 2-4: fetch the caller's credentials from the
-  // Authorization Database (with a short-lived cache).
+  // Authorization Database (with a short-lived cache). A fresh entry that
+  // already holds this command's decision answers without a copy.
   std::vector<keynote::Assertion> credentials;
-  bool cached = false;
+  std::optional<std::chrono::steady_clock::time_point> fetched;
   {
     std::scoped_lock lock(cred_mu_);
     auto it = credential_cache_.find(principal);
     if (it != credential_cache_.end() &&
         std::chrono::steady_clock::now() - it->second.fetched <
             config_.credential_cache_ttl) {
+      auto decision = it->second.decisions.find(cmd.name());
+      if (decision != it->second.decisions.end()) return decision->second;
       credentials = it->second.credentials;
-      cached = true;
+      fetched = it->second.fetched;
     }
   }
-  if (!cached && !env_.auth_db_address.host.empty() &&
+  if (!fetched && !env_.auth_db_address.host.empty() &&
       env_.auth_db_address != address()) {
     CmdLine fetch("getCredentials");
-    fetch.arg("principal", principal);
+    fetch.arg("principal", std::string(principal));
     auto reply = control_client_->call(env_.auth_db_address, fetch, kCallOk);
     if (reply.ok()) {
       if (auto vec = reply->get_vector("credentials")) {
@@ -698,9 +704,10 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
           if (a.ok()) credentials.push_back(std::move(a.value()));
         }
       }
+      fetched = std::chrono::steady_clock::now();
       std::scoped_lock lock(cred_mu_);
-      credential_cache_[principal] = {credentials,
-                                      std::chrono::steady_clock::now()};
+      credential_cache_.insert_or_assign(
+          std::string(principal), CachedCredentials{credentials, *fetched, {}});
     }
   }
 
@@ -713,19 +720,32 @@ util::Status ServiceDaemon::authorize(const CmdLine& cmd,
       {"service_class", config_.service_class},
       {"room", config_.room},
       {"command", cmd.name()},
-      {"principal", principal},
+      {"principal", std::string(principal)},
   };
   query.policies = env_.policies();
   query.credentials = std::move(credentials);
+  obs_auth_checks_->inc();
   auto result = keynote::ComplianceChecker::check(query, &env_.keys());
-  if (!result.ok()) return result.error();
-  if (!result->authorized) {
-    return util::Error{util::Errc::auth_error,
-                       "principal '" + principal +
-                           "' is not authorized for command '" + cmd.name() +
-                           "' on service '" + config_.name + "'"};
+  util::Status decision = util::Status::ok_status();
+  if (!result.ok()) {
+    decision = result.error();
+  } else if (!result->authorized) {
+    decision = util::Error{util::Errc::auth_error,
+                           "principal '" + query.requester +
+                               "' is not authorized for command '" +
+                               cmd.name() + "' on service '" + config_.name +
+                               "'"};
   }
-  return util::Status::ok_status();
+
+  // Memoize against the entry the check read. A re-fetch in the meantime
+  // replaced it (new stamp), and its credentials were not the ones checked.
+  if (fetched) {
+    std::scoped_lock lock(cred_mu_);
+    auto it = credential_cache_.find(principal);
+    if (it != credential_cache_.end() && it->second.fetched == *fetched)
+      it->second.decisions.emplace(cmd.name(), decision);
+  }
+  return decision;
 }
 
 void ServiceDaemon::fire_notifications(const CmdLine& cmd) {

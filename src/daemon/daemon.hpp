@@ -22,7 +22,10 @@
 //  * startup (§2.6, Fig 9): Room Database -> ASD registration (with lease)
 //    -> Network Logger, then periodic lease renewal.
 //  * security (§3): per-connection secure-channel handshake; optional
-//    per-command KeyNote authorization against the Authorization Database.
+//    per-command KeyNote authorization against the Authorization Database,
+//    with the credentials and each command's decision cached per principal
+//    for credential_cache_ttl (the bound on how long a revoked credential
+//    keeps authorizing).
 #pragma once
 
 #include <atomic>
@@ -287,12 +290,22 @@ class ServiceDaemon {
   mutable std::mutex notify_mu_;
   std::vector<NotificationEntry> notifications_;
 
+  // Per-principal credentials fetched from the Authorization Database, and
+  // the KeyNote decision (allow, deny or error) already made for each
+  // command against them. Every other input of a decision (this daemon's
+  // name, class and room, the policies and the key store) is fixed after
+  // start, so a decision holds for as long as its entry: both expire
+  // together after credential_cache_ttl, which therefore bounds how long a
+  // revoked credential keeps authorizing. A denial is memoized too but
+  // still reaches dispatch on every call, so each one is counted and
+  // logged to the Network Logger.
   mutable std::mutex cred_mu_;
   struct CachedCredentials {
     std::vector<keynote::Assertion> credentials;
     std::chrono::steady_clock::time_point fetched;
+    std::map<std::string, util::Status, std::less<>> decisions;  // by command
   };
-  std::map<std::string, CachedCredentials> credential_cache_;
+  std::map<std::string, CachedCredentials, std::less<>> credential_cache_;
 
   mutable std::mutex stats_mu_;
   Stats stats_;
@@ -301,6 +314,8 @@ class ServiceDaemon {
   obs::Counter* obs_cmd_executed_;
   obs::Counter* obs_cmd_rejected_;
   obs::Counter* obs_auth_denied_;
+  obs::Counter* obs_auth_checks_;    // daemon.auth.checks: KeyNote runs
+  obs::Histogram* obs_cmd_latency_;  // daemon.cmd.latency_us (span cell)
   obs::Counter* obs_notify_sent_;
   obs::Counter* obs_notify_batches_;         // daemon.notify_batches
   obs::Counter* obs_notify_batched_events_;  // daemon.notify_batched_events

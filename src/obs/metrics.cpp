@@ -134,19 +134,26 @@ MetricsRegistry& MetricsRegistry::global() {
 // ----------------------------------------------------------------------- Span
 
 Span::Span(MetricsRegistry& registry, std::string component, std::string name)
-    : registry_(registry),
+    : spans_(registry.spans()),
+      latency_(registry.histogram(component + "." + name + ".latency_us")),
       component_(std::move(component)),
       name_(std::move(name)),
+      start_(std::chrono::steady_clock::now()) {}
+
+Span::Span(MetricsRegistry& registry, Histogram& latency,
+           const char* component, const char* name)
+    : spans_(registry.spans()),
+      latency_(latency),
+      component_(component),
+      name_(name),
       start_(std::chrono::steady_clock::now()) {}
 
 Span::~Span() {
   auto elapsed = std::chrono::steady_clock::now() - start_;
   auto us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
-  registry_.histogram(component_ + "." + name_ + ".latency_us")
-      .observe_us(us);
-  registry_.spans().record(SpanRecord{std::move(component_), std::move(name_),
-                                      us, ok_});
+  latency_.observe_us(us);
+  spans_.record(SpanRecord{std::move(component_), std::move(name_), us, ok_});
 }
 
 // ----------------------------------------------------------------------- JSON

@@ -181,7 +181,13 @@ class MetricsRegistry {
 // `<component>.<name>.latency_us` histogram.
 class Span {
  public:
+  // Looks the histogram up by name (registry mutex + map lookup).
   Span(MetricsRegistry& registry, std::string component, std::string name);
+  // Hot-path form: the call site resolved `latency` (the
+  // `<component>.<name>.latency_us` cell) once, so constructing the span
+  // builds no string and takes no registry lock.
+  Span(MetricsRegistry& registry, Histogram& latency, const char* component,
+       const char* name);
   ~Span();
 
   Span(const Span&) = delete;
@@ -191,7 +197,8 @@ class Span {
   void fail() { ok_ = false; }
 
  private:
-  MetricsRegistry& registry_;
+  SpanBuffer& spans_;
+  Histogram& latency_;
   std::string component_;
   std::string name_;
   std::chrono::steady_clock::time_point start_;

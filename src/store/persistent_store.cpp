@@ -112,6 +112,8 @@ PersistentStoreDaemon::PersistentStoreDaemon(daemon::Environment& env,
       obs_bucket_rpcs_(&env.metrics().counter("store.sync_bucket_rpcs")),
       obs_sync_fetched_(&env.metrics().counter("store.sync_fetched")),
       obs_digest_reads_(&env.metrics().counter("store.digest_reads")),
+      obs_replicate_latency_(
+          &env.metrics().histogram("store.replicate.latency_us")),
       obs_digest_mismatches_(
           &env.metrics().counter("store.digest_mismatches")),
       obs_read_repairs_(&env.metrics().counter("store.read_repairs")),
@@ -786,7 +788,8 @@ std::uint64_t PersistentStoreDaemon::merkle_root() const {
 
 PersistentStoreDaemon::WriteOutcome PersistentStoreDaemon::coordinate_write(
     const std::string& key, const ObjectRecord& record) {
-  obs::Span span(env().metrics(), "store", "replicate");
+  obs::Span span(env().metrics(), *obs_replicate_latency_, "store",
+                 "replicate");
   std::vector<net::Address> order;
   std::shared_ptr<ReplicationBatcher> batcher;
   {

@@ -289,6 +289,7 @@ class PersistentStoreDaemon : public daemon::ServiceDaemon {
   obs::Counter* obs_bucket_rpcs_;
   obs::Counter* obs_sync_fetched_;
   obs::Counter* obs_digest_reads_;
+  obs::Histogram* obs_replicate_latency_;  // store.replicate.latency_us
   obs::Counter* obs_digest_mismatches_;
   obs::Counter* obs_read_repairs_;
   obs::Counter* obs_read_unavailable_;

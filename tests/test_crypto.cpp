@@ -1,19 +1,69 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "crypto/certificate.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/channel.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/sha256.hpp"
 #include "net/network.hpp"
+#include "util/rng.hpp"
 
 using namespace ace;
 using namespace ace::crypto;
 using namespace std::chrono_literals;
 
+// Counting global allocator for this binary: the heap allocations made on
+// the calling thread, so a test can assert that a code path makes none.
+namespace {
+thread_local std::size_t t_heap_allocations = 0;
+
+void* counted_alloc(std::size_t n) {
+  ++t_heap_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace {
 std::string hex(const Digest& d) {
   return util::hex_encode(util::Bytes(d.begin(), d.end()));
+}
+
+util::Bytes random_bytes(util::Rng& rng, std::size_t n) {
+  util::Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+// RFC 2104 HMAC written out from its definition over one-shot SHA-256:
+// H((K' ^ opad) || H((K' ^ ipad) || m)), K' = H(K) if K is longer than a
+// block, zero-padded to 64 bytes.
+Digest reference_hmac(const util::Bytes& key, const util::Bytes& message) {
+  util::Bytes k = key;
+  if (k.size() > 64) {
+    Digest d = sha256(k);
+    k.assign(d.begin(), d.end());
+  }
+  k.resize(64, 0);
+  util::Bytes inner(64), outer(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    inner[i] = k[i] ^ 0x36;
+    outer[i] = k[i] ^ 0x5c;
+  }
+  inner.insert(inner.end(), message.begin(), message.end());
+  Digest inner_digest = sha256(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return sha256(outer);
 }
 }  // namespace
 
@@ -46,6 +96,28 @@ TEST(Sha256, IncrementalEqualsOneShot) {
   EXPECT_EQ(hex(h.finish()), hex(sha256(std::string_view("hello world"))));
 }
 
+TEST(Sha256, PaddingBoundaryVectors) {
+  // 55 bytes pad into one block, 56 spill the length into a second, 64
+  // fill a block exactly (vectors from an independent implementation).
+  EXPECT_EQ(hex(sha256(std::string(55, 'a'))),
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+  EXPECT_EQ(hex(sha256(std::string(56, 'a'))),
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+  EXPECT_EQ(hex(sha256(std::string(64, 'a'))),
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+}
+
+TEST(Sha256, ByteAtATimeEqualsOneShotAcrossBlockEdges) {
+  util::Rng rng(7);
+  for (std::size_t n : {0u, 1u, 55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u,
+                        200u}) {
+    util::Bytes data = random_bytes(rng, n);
+    Sha256 h;
+    for (std::uint8_t b : data) h.update(&b, 1);
+    EXPECT_EQ(hex(h.finish()), hex(sha256(data))) << "length " << n;
+  }
+}
+
 TEST(Hmac, Rfc4231Vector) {
   // RFC 4231 test case 2.
   util::Bytes key = util::to_bytes("Jefe");
@@ -61,6 +133,69 @@ TEST(Hmac, LongKeyIsHashedFirst) {
   EXPECT_EQ(hex(hmac_sha256(key, msg)), hex(hmac_sha256(key, msg)));
   EXPECT_NE(hex(hmac_sha256(key, msg)),
             hex(hmac_sha256(util::Bytes(10, 0xaa), msg)));
+}
+
+TEST(Hmac, Rfc4231LongKeyVector) {
+  // RFC 4231 test case 6: a 131-byte key is hashed to 32 bytes first.
+  util::Bytes key(131, 0xaa);
+  util::Bytes msg =
+      util::to_bytes("Test Using Larger Than Block-Size Key - Hash Key First");
+  EXPECT_EQ(hex(hmac_sha256(key, msg)),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(hex(HmacSha256(key).mac(msg)), hex(hmac_sha256(key, msg)));
+}
+
+TEST(Hmac, KeyedStateMatchesRfc2104Reference) {
+  // Message lengths 0..130 cross every padding edge of both the inner hash
+  // (ipad block + message: 55/56/63/64/119 bytes into a block) and the
+  // one-block outer hash.
+  util::Rng rng(2104);
+  for (std::size_t key_len : {0u, 32u, 64u, 65u, 100u}) {
+    util::Bytes key = random_bytes(rng, key_len);
+    HmacSha256 keyed(key);
+    for (std::size_t n = 0; n <= 130; ++n) {
+      util::Bytes msg = random_bytes(rng, n);
+      std::string want = hex(reference_hmac(key, msg));
+      ASSERT_EQ(hex(keyed.mac(msg)), want) << "key " << key_len << " msg " << n;
+      ASSERT_EQ(hex(hmac_sha256(key, msg)), want);
+    }
+  }
+  // The default instance is keyed with the empty key.
+  util::Bytes msg = util::to_bytes("m");
+  EXPECT_EQ(hex(HmacSha256().mac(msg)), hex(reference_hmac({}, msg)));
+}
+
+TEST(Hmac, MacAndFinishMakeNoHeapAllocations) {
+  util::Rng rng(11);
+  const util::Bytes key = random_bytes(rng, 32);
+  const util::Bytes long_key = random_bytes(rng, 100);
+  const util::Bytes msg = random_bytes(rng, 130);
+  const HmacSha256 keyed(key);
+
+  const std::size_t before = t_heap_allocations;
+  Digest a = keyed.mac(msg);
+  Digest b = hmac_sha256(key, msg);
+  Digest c = hmac_sha256(long_key, msg.data(), 60);
+  Sha256 h;
+  h.update(msg);
+  Digest d = h.finish();
+  EXPECT_EQ(t_heap_allocations - before, 0u);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(c, d);
+
+  // The counter sees allocations made through the global operator new.
+  void* volatile probe = ::operator new(16);
+  ::operator delete(probe);
+  EXPECT_EQ(t_heap_allocations - before, 1u);
+}
+
+TEST(ConstantTimeEqual, ComparesEveryByte) {
+  const std::uint8_t a[4] = {1, 2, 3, 4};
+  const std::uint8_t b[4] = {1, 2, 3, 5};
+  EXPECT_TRUE(constant_time_equal(a, a, 4));
+  EXPECT_FALSE(constant_time_equal(a, b, 4));
+  EXPECT_TRUE(constant_time_equal(a, b, 3));
+  EXPECT_TRUE(constant_time_equal(a, b, 0));
 }
 
 TEST(Hkdf, ProducesRequestedLengthDeterministically) {

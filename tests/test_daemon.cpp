@@ -3,9 +3,14 @@
 // device hierarchy (§2.3 Fig 6) and failure behaviour.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "ace_test_env.hpp"
 #include "daemon/devices.hpp"
+#include "keynote/checker.hpp"
 #include "services/auth_db.hpp"
+#include "util/rng.hpp"
 
 using namespace ace;
 using namespace std::chrono_literals;
@@ -77,6 +82,57 @@ class SinkDaemon : public daemon::ServiceDaemon {
   mutable std::mutex mu_;
   std::vector<std::string> received_;
 };
+
+// Two no-op verbs on the two execution paths: `peek` is concurrent_ok (it
+// runs on the connection's strand), `poke` is serialized (control pump).
+class MemoDaemon : public daemon::ServiceDaemon {
+ public:
+  MemoDaemon(daemon::Environment& env, daemon::DaemonHost& host,
+             daemon::DaemonConfig config)
+      : ServiceDaemon(env, host, std::move(config)) {
+    register_command(
+        cmdlang::CommandSpec("peek", "concurrent no-op").concurrent_ok(),
+        [](const CmdLine&, const daemon::CallerInfo&) {
+          return cmdlang::make_ok();
+        });
+    register_command(cmdlang::CommandSpec("poke", "serialized no-op"),
+                     [](const CmdLine&, const daemon::CallerInfo&) {
+                       return cmdlang::make_ok();
+                     });
+  }
+};
+
+// Serves scripted getCredentials replies, forged and unsigned ones
+// included, which the real Authorization Database would refuse to store.
+class ScriptedAuthDb : public daemon::ServiceDaemon {
+ public:
+  ScriptedAuthDb(daemon::Environment& env, daemon::DaemonHost& host,
+                 daemon::DaemonConfig config,
+                 std::map<std::string, std::vector<std::string>> credentials)
+      : ServiceDaemon(env, host, std::move(config)),
+        credentials_(std::move(credentials)) {
+    register_command(
+        cmdlang::CommandSpec("getCredentials", "scripted credentials")
+            .arg(cmdlang::string_arg("principal")),
+        [this](const CmdLine& cmd, const daemon::CallerInfo&) {
+          auto it = credentials_.find(cmd.get_text("principal"));
+          CmdLine reply = cmdlang::make_ok();
+          reply.arg("credentials",
+                    cmdlang::string_vector(it == credentials_.end()
+                                               ? std::vector<std::string>{}
+                                               : it->second));
+          return reply;
+        });
+  }
+
+ private:
+  const std::map<std::string, std::vector<std::string>> credentials_;
+};
+
+util::Errc outcome(const CmdLine& reply) {
+  return cmdlang::is_ok(reply) ? util::Errc::ok
+                               : cmdlang::reply_error(reply).code;
+}
 
 }  // namespace
 
@@ -395,4 +451,248 @@ TEST_F(DaemonTest, StoppedDaemonRefusesConnections) {
   auto reply =
       client_->call(addr, CmdLine("ping"), daemon::CallOptions{.timeout = 200ms});
   EXPECT_FALSE(reply.ok());
+}
+
+// ------------------------------------------------ authorization memo (Fig 10)
+
+TEST_F(DaemonTest, AuthMemoRunsOneCheckPerCommandPerCredentialFetch) {
+  deployment_->env.register_principal("admin");
+  keynote::Assertion policy;
+  policy.authorizer = keynote::kPolicyAuthorizer;
+  policy.licensees = keynote::licensee_key("admin");
+  deployment_->env.add_policy(policy);
+  ASSERT_TRUE(services::grant_credential(
+                  *client_, deployment_->env.auth_db_address,
+                  deployment_->env, "admin", "user/bob",
+                  "command == \"peek\"")
+                  .ok());
+
+  daemon::DaemonConfig c = config("memo");
+  c.enforce_authorization = true;
+  c.credential_cache_ttl = 1000ms;
+  auto& svc = host_->add_daemon<MemoDaemon>(c);
+  ASSERT_TRUE(svc.start().ok());
+  auto bob = deployment_->make_client("bob-pc", "user/bob");
+  obs::Counter& checks =
+      deployment_->env.metrics().counter("daemon.auth.checks");
+  const std::uint64_t base = checks.value();
+
+  for (int i = 0; i < 50; ++i)
+    ASSERT_TRUE(bob->call(svc.address(), CmdLine("peek"), daemon::kCallOk).ok());
+  EXPECT_EQ(checks.value() - base, 1u);
+
+  // A second verb costs one more check. It is denied; the denial is
+  // memoized too, yet every denied call is still counted.
+  for (int i = 0; i < 3; ++i) {
+    auto denied = bob->call(svc.address(), CmdLine("poke"));
+    ASSERT_TRUE(denied.ok());
+    EXPECT_EQ(outcome(denied.value()), util::Errc::auth_error);
+  }
+  EXPECT_EQ(checks.value() - base, 2u);
+  EXPECT_EQ(svc.stats().authorizations_denied, 3u);
+
+  // The memo expires with its credential-cache entry.
+  std::this_thread::sleep_for(1100ms);
+  ASSERT_TRUE(bob->call(svc.address(), CmdLine("peek"), daemon::kCallOk).ok());
+  EXPECT_EQ(checks.value() - base, 3u);
+}
+
+// Strand commands, control-pump commands and in-process execute all fill
+// and read one principal's memo while its cache entry expires and is
+// re-fetched every few milliseconds.
+TEST_F(DaemonTest, AuthMemoRacesAcrossTtlExpiry) {
+  deployment_->env.register_principal("admin");
+  keynote::Assertion policy;
+  policy.authorizer = keynote::kPolicyAuthorizer;
+  policy.licensees = keynote::licensee_key("admin");
+  deployment_->env.add_policy(policy);
+  ASSERT_TRUE(services::grant_credential(*client_,
+                                         deployment_->env.auth_db_address,
+                                         deployment_->env, "admin",
+                                         "user/bob", "")
+                  .ok());
+
+  daemon::DaemonConfig c = config("memo-race");
+  c.enforce_authorization = true;
+  c.credential_cache_ttl = 20ms;
+  auto& svc = host_->add_daemon<MemoDaemon>(c);
+  ASSERT_TRUE(svc.start().ok());
+  auto strand_client = deployment_->make_client("bob-a", "user/bob");
+  auto pump_client = deployment_->make_client("bob-b", "user/bob");
+  obs::Counter& checks =
+      deployment_->env.metrics().counter("daemon.auth.checks");
+  const std::uint64_t base = checks.value();
+
+  std::atomic<int> failures{0};
+  const auto deadline = std::chrono::steady_clock::now() + 300ms;
+  auto over_the_wire = [&](daemon::AceClient& client, const char* verb) {
+    while (std::chrono::steady_clock::now() < deadline) {
+      auto reply = client.call(svc.address(), CmdLine(verb));
+      if (!reply.ok() || !cmdlang::is_ok(reply.value())) ++failures;
+    }
+  };
+  {
+    std::jthread strand([&] { over_the_wire(*strand_client, "peek"); });
+    std::jthread pump([&] { over_the_wire(*pump_client, "poke"); });
+    std::jthread local([&] {
+      const daemon::CallerInfo bob{"user/bob", {}};
+      for (int i = 0; std::chrono::steady_clock::now() < deadline; ++i) {
+        CmdLine reply = svc.execute(CmdLine(i % 2 ? "peek" : "poke"), bob);
+        if (!cmdlang::is_ok(reply)) ++failures;
+      }
+    });
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(checks.value() - base, 3u);  // re-checked after expiries
+}
+
+// The memo must not move a decision. Over random policies, random
+// credential sets (valid, unsigned, forged, signed by the wrong key, with
+// glob command conditions and one malformed condition) and random command
+// sequences on both execution paths, each reply's outcome equals a fresh
+// ComplianceChecker::check of the same query.
+TEST(AuthMemoProperty, MemoizedDecisionsEqualFreshChecks) {
+  const std::vector<std::string> keys = {"k0", "k1", "k2"};
+  const std::vector<std::string> principals = {"user/p0", "user/p1",
+                                               "user/p2", "user/p3"};
+  const std::vector<std::string> verbs = {"peek", "poke", "ping", "info"};
+  const std::vector<std::string> conditions = {
+      "",
+      "command == \"peek\"",
+      "command ~= \"p*\"",
+      "command ~= \"po*\"",
+      "room == \"hawk\"",
+      "principal == \"user/p1\"",
+      "service == \"elsewhere\"",
+      "app_domain == \"ace\" && command != \"info\"",
+      "command ==",  // malformed: the check fails with an error
+  };
+
+  std::map<util::Errc, int> seen;  // outcomes over all seeds
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    auto pick = [&rng](const std::vector<std::string>& v) {
+      return v[rng.next_below(v.size())];
+    };
+    auto random_licensee = [&]() -> keynote::LicenseePtr {
+      switch (rng.next_below(4)) {
+        case 0:
+          return keynote::licensee_any(
+              {keynote::licensee_key(pick(keys)),
+               keynote::licensee_key(pick(principals))});
+        case 1:
+          return keynote::licensee_key(pick(principals));
+        default:
+          return keynote::licensee_key(pick(keys));
+      }
+    };
+
+    daemon::Environment env(seed);
+    env.auth_db_address = {"infra", daemon::kAuthDbPort};
+    for (const auto& k : keys) env.register_principal(k);
+    env.register_principal("mallory");
+    const std::uint64_t policy_count = 1 + rng.next_below(2);
+    for (std::uint64_t i = 0; i < policy_count; ++i) {
+      keynote::Assertion policy;
+      policy.authorizer = keynote::kPolicyAuthorizer;
+      policy.licensees = random_licensee();
+      policy.conditions = pick(conditions);
+      env.add_policy(policy);
+    }
+
+    std::map<std::string, std::vector<std::string>> served;
+    for (const auto& principal : principals) {
+      const std::uint64_t n = rng.next_below(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        keynote::Assertion cred;
+        cred.authorizer = pick(keys);
+        cred.licensees = rng.next_bool(0.6)
+                             ? keynote::licensee_key(principal)
+                             : random_licensee();
+        cred.conditions = pick(conditions);
+        switch (rng.next_below(5)) {
+          case 0:  // unsigned
+            break;
+          case 1:  // forged: one signature bit flipped
+            ASSERT_TRUE(env.keys().sign(cred).ok());
+            cred.signature[rng.next_below(cred.signature.size())] ^= 0x01;
+            break;
+          case 2: {  // signed by another principal's key
+            const std::string claimed = cred.authorizer;
+            cred.authorizer = "mallory";
+            ASSERT_TRUE(env.keys().sign(cred).ok());
+            cred.authorizer = claimed;
+            break;
+          }
+          default:
+            ASSERT_TRUE(env.keys().sign(cred).ok());
+        }
+        served[principal].push_back(cred.serialize());
+      }
+    }
+
+    daemon::DaemonHost infra(env, "infra");
+    daemon::DaemonConfig db_config;
+    db_config.name = "scripted-auth-db";
+    db_config.port = daemon::kAuthDbPort;
+    infra.add_daemon<ScriptedAuthDb>(db_config, served);
+    ASSERT_TRUE(infra.start_all().ok());
+
+    daemon::DaemonHost work(env, "work");
+    daemon::DaemonConfig c;
+    c.name = "guarded";
+    c.room = "hawk";
+    c.enforce_authorization = true;
+    c.credential_cache_ttl = 60s;
+    auto& svc = work.add_daemon<MemoDaemon>(c);
+    ASSERT_TRUE(svc.start().ok());
+
+    std::vector<std::unique_ptr<daemon::AceClient>> clients;
+    for (const auto& principal : principals) {
+      auto& host = env.network().add_host("pc-" + principal.substr(5));
+      clients.push_back(std::make_unique<daemon::AceClient>(
+          env, host, env.issue_identity(principal)));
+    }
+
+    for (int step = 0; step < 60; ++step) {
+      const std::size_t who = rng.next_below(principals.size());
+      const std::string verb = pick(verbs);
+
+      keynote::ComplianceQuery query;
+      query.requester = principals[who];
+      query.action = {{"app_domain", "ace"},
+                      {"service", svc.config().name},
+                      {"service_class", svc.config().service_class},
+                      {"room", svc.config().room},
+                      {"command", verb},
+                      {"principal", principals[who]}};
+      query.policies = env.policies();
+      for (const auto& text : served[principals[who]])
+        if (auto a = keynote::Assertion::parse(text); a.ok())
+          query.credentials.push_back(std::move(a.value()));
+      auto fresh = keynote::ComplianceChecker::check(query, &env.keys());
+      const util::Errc want = !fresh.ok()             ? fresh.error().code
+                              : fresh->authorized     ? util::Errc::ok
+                                                      : util::Errc::auth_error;
+
+      CmdLine reply;
+      if (rng.next_bool(0.7)) {
+        auto r = clients[who]->call(svc.address(), CmdLine(verb));
+        ASSERT_TRUE(r.ok()) << r.error().to_string();
+        reply = std::move(r.value());
+      } else {
+        reply = svc.execute(CmdLine(verb), {principals[who], {}});
+      }
+      EXPECT_EQ(outcome(reply), want)
+          << "step " << step << ": " << principals[who] << " " << verb
+          << " -> " << reply.to_string();
+      ++seen[want];
+    }
+    clients.clear();
+  }
+  // The seeds exercise allows, denials and failed checks alike.
+  EXPECT_GT(seen[util::Errc::ok], 0);
+  EXPECT_GT(seen[util::Errc::auth_error], 0);
+  EXPECT_EQ(seen.size(), 3u);
 }
